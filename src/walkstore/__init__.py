@@ -8,7 +8,6 @@ from .bitpack import (
     mixed_radix_rank,
     mixed_radix_unrank,
     sa_build,
-    sa_get,
 )
 from .codec import (
     CodecTables,

@@ -16,13 +16,18 @@ packing strategy:
                 information content, reads walk one root-to-leaf path.
 
 All field offsets are functions of the radix spec alone, never of the
-stored values, so readers can locate any field without scanning.
+stored values, so readers can locate any field without scanning.  Specs
+are kept as runs of equal radices and layouts are computed from the runs,
+so a loaded array costs its payload bytes plus O(lg t) numbers for the
+specs the stores build (uniform, or uniform apart from the end radices).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import math
+from bisect import bisect_right
+from itertools import chain, groupby, repeat
+from typing import Callable, Iterable, Sequence
 
 from .config import BLOCKED_TARGET_WIDTH
 from .errors import (
@@ -34,128 +39,144 @@ from .errors import (
 from .fileio import Cursor, write_varbig, write_varint
 from .graph import ceil_log2
 
-WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
-
 SA_MAGIC = b"SAR1"
 
 
 class BitVec:
-    """A growable bit vector addressed in 64-bit words.
+    """A growable bit vector in one byte buffer (bit i is bit i % 8 of
+    byte i // 8, so the buffer is the serialized payload).
 
     Reads and writes take arbitrary widths; out-of-range access raises,
-    values never wrap silently.  ``probes`` collects the indices of words a
-    read touches, for cell-probe instrumentation.
+    values never wrap silently.  ``probes`` collects the indices of the
+    64-bit words a read touches, for cell-probe instrumentation.
     """
 
-    __slots__ = ("words", "nbits")
+    __slots__ = ("buf", "nbits")
 
     def __init__(self, nbits: int = 0):
         self.nbits = nbits
-        self.words = [0] * ((nbits + WORD_BITS - 1) // WORD_BITS)
+        self.buf = bytearray((nbits + 7) >> 3)
 
     def write(self, pos: int, width: int, value: int) -> None:
         if width < 0 or pos < 0 or pos + width > self.nbits:
             raise RangeError(f"write of {width} bits at {pos} outside {self.nbits}")
         if value < 0 or value >> width:
             raise RangeError(f"value {value} does not fit in {width} bits")
-        while width > 0:
-            wi, bi = divmod(pos, WORD_BITS)
-            take = min(width, WORD_BITS - bi)
-            mask = ((1 << take) - 1) << bi
-            self.words[wi] = (self.words[wi] & ~mask) | ((value << bi) & mask)
-            value >>= take
-            pos += take
-            width -= take
+        if not width:
+            return
+        buf, lo, hi, shift = self.buf, pos >> 3, (pos + width + 7) >> 3, pos & 7
+        keep = int.from_bytes(buf[lo:hi], "little") & ~(((1 << width) - 1) << shift)
+        buf[lo:hi] = (keep | value << shift).to_bytes(hi - lo, "little")
 
     def read(self, pos: int, width: int, probes: set | None = None) -> int:
         if width < 0 or pos < 0 or pos + width > self.nbits:
             raise RangeError(f"read of {width} bits at {pos} outside {self.nbits}")
-        value = 0
-        shift = 0
-        while width > 0:
-            wi, bi = divmod(pos, WORD_BITS)
-            if probes is not None:
-                probes.add(wi)
-            take = min(width, WORD_BITS - bi)
-            value |= ((self.words[wi] >> bi) & ((1 << take) - 1)) << shift
-            shift += take
-            pos += take
-            width -= take
-        return value
+        if not width:
+            return 0
+        end = pos + width
+        if probes is not None:
+            probes.update(range(pos >> 6, ((end - 1) >> 6) + 1))
+        raw = int.from_bytes(self.buf[pos >> 3 : (end + 7) >> 3], "little")
+        return (raw >> (pos & 7)) & ((1 << width) - 1)
 
     def append(self, width: int, value: int) -> None:
         pos = self.nbits
         self.nbits += width
-        need = (self.nbits + WORD_BITS - 1) // WORD_BITS
-        if need > len(self.words):
-            self.words.extend([0] * (need - len(self.words)))
+        self.buf += bytes(((self.nbits + 7) >> 3) - len(self.buf))
         self.write(pos, width, value)
 
     def to_bytes(self) -> bytes:
-        nbytes = (self.nbits + 7) // 8
-        out = bytearray(nbytes)
-        for wi, word in enumerate(self.words):
-            chunk = word.to_bytes(8, "little")
-            start = wi * 8
-            out[start : start + 8] = chunk[: max(0, min(8, nbytes - start))]
-        return bytes(out)
+        return bytes(self.buf)
 
     @classmethod
     def from_bytes(cls, raw: bytes, nbits: int) -> "BitVec":
         if len(raw) != (nbits + 7) // 8:
             raise FormatError("bit payload length mismatch")
-        vec = cls(nbits)
-        for wi in range(len(vec.words)):
-            chunk = raw[wi * 8 : wi * 8 + 8]
-            vec.words[wi] = int.from_bytes(chunk, "little")
+        vec = cls()
+        vec.nbits = nbits
+        vec.buf = bytearray(raw)
         return vec
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BitVec)
-            and self.nbits == other.nbits
-            and self.to_bytes() == other.to_bytes()
-        )
+        return isinstance(other, BitVec) and self.nbits == other.nbits and self.buf == other.buf
 
 
 # ---------------------------------------------------------------------------
 # Radix specs and mixed-radix coding
 
 
-@dataclass(frozen=True)
 class RadixSpec:
-    """Per-position radices M_0..M_{t-1}; values at i live in [0, M_i)."""
+    """Per-position radices M_0..M_{t-1}; values at i live in [0, M_i).
 
-    radices: tuple
+    Held as ``runs``, maximal (radix, count) runs of equal radices, so a
+    uniform spec or one uniform apart from its ends costs O(1) at any t.
+    """
 
-    def __post_init__(self):
-        for m in self.radices:
-            if m < 1:
-                raise ParameterError("radices must be >= 1")
+    __slots__ = ("runs", "starts", "t")
+
+    def __init__(self, radices: Iterable[int] = ()):
+        self._adopt((m, sum(1 for _ in grp)) for m, grp in groupby(radices))
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[tuple]) -> "RadixSpec":
+        spec = cls.__new__(cls)
+        spec._adopt(runs)
+        return spec
 
     @classmethod
     def uniform_spec(cls, radix: int, t: int) -> "RadixSpec":
-        return cls((radix,) * t)
+        return cls.from_runs([(radix, t)])
+
+    def _adopt(self, pairs) -> None:
+        runs, starts, t = [], [], 0
+        for m, count in pairs:
+            if count <= 0:
+                continue
+            if m < 1:
+                raise ParameterError("radices must be >= 1")
+            if runs and runs[-1][0] == m:
+                runs[-1] = (m, runs[-1][1] + count)
+            else:
+                runs.append((m, count))
+                starts.append(t)
+            t += count
+        self.runs, self.starts, self.t = tuple(runs), starts, t
+
+    def __iter__(self):
+        return chain.from_iterable(repeat(m, count) for m, count in self.runs)
 
     @property
-    def t(self) -> int:
-        return len(self.radices)
+    def radices(self) -> tuple:
+        """Every radix, position by position (O(t); for small specs)."""
+        return tuple(self)
 
-    @property
-    def uniform(self) -> bool:
-        return len(set(self.radices)) <= 1
+    def run_end(self, i: int) -> int:
+        """One past the last position of the run holding position i."""
+        j = bisect_right(self.starts, i) - 1
+        return self.starts[j] + self.runs[j][1]
+
+    def slice_runs(self, lo: int, hi: int) -> tuple:
+        """The runs of positions lo..hi-1, as a tuple of (radix, count)."""
+        out = []
+        j = bisect_right(self.starts, lo) - 1
+        while lo < hi:
+            m, count = self.runs[j]
+            take = min(self.starts[j] + count, hi) - lo
+            out.append((m, take))
+            lo += take
+            j += 1
+        return tuple(out)
 
     def product(self) -> int:
-        p = 1
-        for m in self.radices:
-            p *= m
-        return p
+        return math.prod(m**count for m, count in self.runs)
 
     def info_bits(self) -> int:
         """ceil(sum of lg M_i): the exact information content, in bits."""
         p = self.product()
         return ceil_log2(p) if p > 1 else 0
+
+    def __eq__(self, other):
+        return isinstance(other, RadixSpec) and self.runs == other.runs
 
 
 def mixed_radix_rank(values: Sequence[int], spec: RadixSpec) -> int:
@@ -163,7 +184,7 @@ def mixed_radix_rank(values: Sequence[int], spec: RadixSpec) -> int:
     if len(values) != spec.t:
         raise RangeError("value count does not match spec")
     rank = 0
-    for v, m in zip(values, spec.radices):
+    for v, m in zip(values, spec):
         if not 0 <= v < m:
             raise RangeError(f"value {v} outside radix {m}")
         rank = rank * m + v
@@ -174,9 +195,10 @@ def mixed_radix_unrank(value: int, spec: RadixSpec) -> list:
     """Inverse of mixed_radix_rank."""
     if value < 0 or value >= spec.product():
         raise RangeError(f"rank {value} outside radix product")
+    radices = spec.radices
     out = [0] * spec.t
     for i in range(spec.t - 1, -1, -1):
-        value, out[i] = divmod(value, spec.radices[i])
+        value, out[i] = divmod(value, radices[i])
     return out
 
 
@@ -211,100 +233,169 @@ def normalize_strategy(strategy, spec: RadixSpec | None = None):
 def _default_block_len(spec: RadixSpec | None) -> int:
     if spec is None or spec.t == 0:
         return 8
-    widest = max(ceil_log2(m) if m > 1 else 1 for m in spec.radices)
+    widest = max(ceil_log2(m) if m > 1 else 1 for m, _ in spec.runs)
     return max(1, BLOCKED_TARGET_WIDTH // widest)
 
 
-# --- packed -----------------------------------------------------------------
+def _layout_for(spec: RadixSpec, strategy):
+    name, param = strategy
+    if name == "spill_tree":
+        return _SpillLayout(spec, param)
+    return _BlockedLayout(spec, param or 1)
 
 
-class _PackedLayout:
-    def __init__(self, spec: RadixSpec):
-        self.widths = [ceil_log2(m) if m > 1 else 0 for m in spec.radices]
-        self.offsets = [0] * (spec.t + 1)
-        for i, w in enumerate(self.widths):
-            self.offsets[i + 1] = self.offsets[i] + w
-
-    @property
-    def payload_bits(self):
-        return self.offsets[-1]
-
-
-# --- blocked ----------------------------------------------------------------
+# --- blocked (packed is the case b = 1) ---------------------------------------
 
 
 class _BlockedLayout:
+    """Groups of b consecutive positions, one mixed-radix field each
+    (Dodis, Patrascu and Thorup, STOC'10).
+
+    Consecutive groups with the same radices form a segment: its fields
+    all have one width and sit at ``offset + (g - first) * width``.  Each
+    run of a spec yields at most two segments, so a run spec has O(1)
+    of them at any length.
+    """
+
+    root_range = 1  # no root spill
+
     def __init__(self, spec: RadixSpec, b: int):
         self.b = b
-        t = spec.t
-        self.group_of = lambda i: i // b
-        self.group_widths = []
-        self.group_offsets = [0]
-        self.suffix = [1] * t  # product of radices after i within its group
-        for lo in range(0, t, b):
+        self.firsts = []   # first group of each segment
+        self.offsets = []  # bit offset of that group's field
+        self.widths = []   # field width of every group in the segment
+        self.runs = []     # per segment: the radix runs of each of its groups
+        self.digits = []   # per segment: (end, radix, after) per radix run
+        self.groups = 0
+        self.payload_bits = 0
+        lo, t = 0, spec.t
+        while lo < t:
             hi = min(lo + b, t)
-            prod = 1
-            for i in range(hi - 1, lo - 1, -1):
-                self.suffix[i] = prod
-                prod *= spec.radices[i]
-            width = ceil_log2(prod) if prod > 1 else 0
-            self.group_widths.append(width)
-            self.group_offsets.append(self.group_offsets[-1] + width)
+            group = spec.slice_runs(lo, hi)
+            count = 1
+            if hi - lo == b and len(group) == 1:  # full groups inside one run
+                count = (spec.run_end(lo) - lo) // b
+            self.add(group, count)
+            lo += count * b
 
-    @property
-    def payload_bits(self):
-        return self.group_offsets[-1]
+    def add(self, group: tuple, count: int = 1) -> int:
+        """Append ``count`` groups with the radix runs ``group``; returns
+        their field width."""
+        if not self.runs or group != self.runs[-1]:
+            digits, after, end = [], 1, sum(c for _, c in group)
+            for m, c in reversed(group):
+                digits.append((end, m, after))  # positions end-c..end-1 have radix m
+                end -= c
+                after *= m**c
+            self.runs.append(group)
+            self.firsts.append(self.groups)
+            self.offsets.append(self.payload_bits)
+            self.widths.append(ceil_log2(after) if after > 1 else 0)
+            self.digits.append(tuple(reversed(digits)))
+        width = self.widths[-1]
+        self.groups += count
+        self.payload_bits += count * width
+        return width
+
+    def get(self, payload: BitVec, spill: int, i: int, probes: set | None) -> int:
+        g, k = divmod(i, self.b)
+        j = bisect_right(self.firsts, g) - 1
+        width = self.widths[j]
+        rank = payload.read(self.offsets[j] + (g - self.firsts[j]) * width, width, probes)
+        for end, m, after in self.digits[j]:
+            if k < end:
+                return rank // (after * m ** (end - 1 - k)) % m
+
+    def encode(self, values: Sequence[int], vec: BitVec) -> int:
+        value = iter(values).__next__
+        bounds = self.firsts[1:] + [self.groups]
+        for first, last, off, width, runs in zip(
+            self.firsts, bounds, self.offsets, self.widths, self.runs
+        ):
+            radices = [m for m, count in runs for _ in range(count)]
+            acc = shift = 0  # one write per ~4096 bits: a write costs more than a field
+            for g in range(first, last):
+                rank = 0
+                for m in radices:
+                    rank = rank * m + value()
+                acc |= rank << shift
+                shift += width
+                if shift >= 4096 or g == last - 1:
+                    vec.write(off, shift, acc)
+                    off, acc, shift = off + shift, 0, 0
+        return 0
 
 
 # --- spill tree ---------------------------------------------------------------
 
 
-class _SpillNode:
-    __slots__ = ("lo", "hi", "left", "right", "range_", "bits", "offset")
-
-    def __init__(self, lo, hi, left, right, range_, bits):
-        self.lo = lo
-        self.hi = hi
-        self.left = left
-        self.right = right
-        self.range_ = range_   # spill range after emitting ``bits`` low bits
-        self.bits = bits
-        self.offset = 0
-
-
 class _SpillLayout:
-    """Balanced combine tree; per-node bit counts and offsets derive from the
-    spec and K_min alone."""
+    """Balanced combine tree (Patrascu, "Succincter", FOCS'08).
+
+    A node's shape (spill range, bits it emits, bits in its subtree, left
+    shape, right shape, left size) depends only on the radices under it,
+    so equal subtrees share one shape: a run spec has O(lg t) shapes.
+    Fields are laid out in pre-order; reads and writes compute a node's
+    offset on the way down.
+    """
 
     def __init__(self, spec: RadixSpec, k_min: int):
         self.k_min = k_min
-        self.root = self._build(spec.radices, 0, spec.t)
-        offset = 0
-        stack = [self.root]
-        while stack:  # pre-order offset assignment
-            node = stack.pop()
-            if node.left is None:
-                continue
-            node.offset = offset
-            offset += node.bits
-            stack.append(node.right)
-            stack.append(node.left)
-        self.payload_bits = offset
-        self.root_range = self.root.range_
+        self.root = self._shape(spec, 0, spec.t, {}) if spec.t else (1, 0, 0, None, None, 1)
+        self.payload_bits = self.root[2]
+        self.root_range = self.root[0]
 
-    def _build(self, radices, lo, hi):
-        if hi - lo == 1:
-            return _SpillNode(lo, hi, None, None, radices[lo], 0)
-        mid = (lo + hi) // 2
-        left = self._build(radices, lo, mid)
-        right = self._build(radices, mid, hi)
-        combined = left.range_ * right.range_
-        if combined >= self.k_min:
-            bits = (combined // self.k_min).bit_length() - 1
-        else:
-            bits = 0
-        range_ = (combined + (1 << bits) - 1) >> bits
-        return _SpillNode(lo, hi, left, right, range_, bits)
+    def _shape(self, spec, lo, hi, memo):
+        key = spec.slice_runs(lo, hi)
+        shape = memo.get(key)
+        if shape is None:
+            if hi - lo == 1:
+                shape = (key[0][0], 0, 0, None, None, 1)
+            else:
+                mid = (lo + hi) // 2
+                left = self._shape(spec, lo, mid, memo)
+                right = self._shape(spec, mid, hi, memo)
+                combined = left[0] * right[0]
+                if combined >= self.k_min:
+                    bits = (combined // self.k_min).bit_length() - 1
+                else:
+                    bits = 0
+                range_ = (combined + (1 << bits) - 1) >> bits
+                shape = (range_, bits, bits + left[2] + right[2], left, right, mid - lo)
+            memo[key] = shape
+        return shape
+
+    def get(self, payload: BitVec, spill: int, i: int, probes: set | None) -> int:
+        shape, off = self.root, 0
+        while True:
+            _, bits, _, left, right, half = shape
+            if left is None:
+                return spill
+            if bits:
+                spill = (spill << bits) | payload.read(off, bits, probes)
+                off += bits
+            if i < half:
+                spill //= right[0]
+                shape = left
+            else:
+                spill %= right[0]
+                off += left[2]
+                i -= half
+                shape = right
+
+    def encode(self, values: Sequence[int], vec: BitVec) -> int:
+        """Writes every node's low bits; returns the root spill."""
+        return self._encode(self.root, values, 0, 0, vec) if values else 0
+
+    def _encode(self, shape, values, lo, off, vec) -> int:
+        _, bits, _, left, right, half = shape
+        if left is None:
+            return values[lo]
+        v = self._encode(left, values, lo, off + bits, vec) * right[0]
+        v += self._encode(right, values, lo + half, off + bits + left[2], vec)
+        if bits:
+            vec.write(off, bits, v & ((1 << bits) - 1))
+        return v >> bits
 
 
 # ---------------------------------------------------------------------------
@@ -334,69 +425,19 @@ class SuccinctArray:
         strategy = normalize_strategy(strategy, spec)
         if len(values) != spec.t:
             raise RangeError("value count does not match spec")
-        for v, m in zip(values, spec.radices):
+        for v, m in zip(values, spec):
             if not 0 <= v < m:
                 raise RangeError(f"value {v} outside radix {m}")
-        name, param = strategy
-        if name == "packed":
-            layout = _PackedLayout(spec)
-            vec = BitVec(layout.payload_bits)
-            for i, v in enumerate(values):
-                vec.write(layout.offsets[i], layout.widths[i], v)
-            return cls(spec, strategy, vec, layout)
-        if name == "blocked":
-            layout = _BlockedLayout(spec, param)
-            vec = BitVec(layout.payload_bits)
-            for gi, lo in enumerate(range(0, spec.t, param)):
-                hi = min(lo + param, spec.t)
-                rank = 0
-                for i in range(lo, hi):
-                    rank = rank * spec.radices[i] + values[i]
-                vec.write(layout.group_offsets[gi], layout.group_widths[gi], rank)
-            return cls(spec, strategy, vec, layout)
-        layout = _SpillLayout(spec, param)
+        layout = _layout_for(spec, strategy)
         vec = BitVec(layout.payload_bits)
-        root_spill = cls._spill_encode(layout.root, values, vec)
-        return cls(spec, strategy, vec, layout, root_spill)
-
-    @staticmethod
-    def _spill_encode(node, values, vec) -> int:
-        if node.left is None:
-            return values[node.lo]
-        s_left = SuccinctArray._spill_encode(node.left, values, vec)
-        s_right = SuccinctArray._spill_encode(node.right, values, vec)
-        v = s_left * node.right.range_ + s_right
-        if node.bits:
-            vec.write(node.offset, node.bits, v & ((1 << node.bits) - 1))
-        return v >> node.bits
+        return cls(spec, strategy, vec, layout, layout.encode(values, vec))
 
     # -- access ---------------------------------------------------------------
 
     def get(self, i: int, probes: set | None = None) -> int:
         if not 0 <= i < self.spec.t:
             raise RangeError(f"index {i} outside [0,{self.spec.t})")
-        name, _ = self.strategy
-        if name == "packed":
-            lay = self._layout
-            width = lay.widths[i]
-            return self.payload.read(lay.offsets[i], width, probes) if width else 0
-        if name == "blocked":
-            lay = self._layout
-            gi = lay.group_of(i)
-            rank = self.payload.read(lay.group_offsets[gi], lay.group_widths[gi], probes)
-            return (rank // lay.suffix[i]) % self.spec.radices[i]
-        node = self._layout.root
-        spill = self.root_spill
-        while node.left is not None:
-            v = spill << node.bits
-            if node.bits:
-                v |= self.payload.read(node.offset, node.bits, probes)
-            s_left, s_right = divmod(v, node.right.range_)
-            if i < node.left.hi:
-                node, spill = node.left, s_left
-            else:
-                node, spill = node.right, s_right
-        return spill
+        return self._layout.get(self.payload, self.root_spill, i, probes)
 
     def values(self) -> list:
         return [self.get(i) for i in range(self.spec.t)]
@@ -409,8 +450,6 @@ class SuccinctArray:
 
     @property
     def spill_bits(self) -> int:
-        if self.strategy[0] != "spill_tree":
-            return 0
         r = self._layout.root_range
         return ceil_log2(r) if r > 1 else 0
 
@@ -420,9 +459,7 @@ class SuccinctArray:
 
     @property
     def header_bits(self) -> int:
-        if self.strategy[0] == "spill_tree":
-            return 16 + 2 * self.spill_bits
-        return 16
+        return 16 + 2 * self.spill_bits
 
     # -- serialization ------------------------------------------------------------
 
@@ -434,12 +471,12 @@ class SuccinctArray:
         name, param = self.strategy
         out.append(self._TAGS[name])
         write_varint(out, self.spec.t)
-        if self.spec.uniform and self.spec.t:
+        if len(self.spec.runs) == 1:
             out.append(1)
-            write_varbig(out, self.spec.radices[0])
+            write_varbig(out, self.spec.runs[0][0])
         else:
             out.append(0)
-            for m in self.spec.radices:
+            for m in self.spec:
                 write_varbig(out, m)
         if name == "blocked":
             write_varint(out, param)
@@ -469,7 +506,7 @@ class SuccinctArray:
         if cur.u8() == 1:
             spec = RadixSpec.uniform_spec(cur.varbig(), t)
         else:
-            spec = RadixSpec(tuple(cur.varbig() for _ in range(t)))
+            spec = RadixSpec(cur.varbig() for _ in range(t))
         param = None
         root_spill = 0
         if name == "blocked":
@@ -479,15 +516,17 @@ class SuccinctArray:
             root_spill = cur.varbig()
         nbits = cur.varint()
         payload = BitVec.from_bytes(cur.take((nbits + 7) // 8), nbits)
+        # A packed or blocked payload holds at least floor(lg M_i) bits per
+        # position; checking that first keeps the radix products of blocked
+        # groups within the bytes present.
+        if name != "spill_tree" and sum(c * (m.bit_length() - 1) for m, c in spec.runs) > nbits:
+            raise FormatError("payload length disagrees with spec")
         strategy = normalize_strategy((name, param), spec)
-        if name == "packed":
-            layout = _PackedLayout(spec)
-        elif name == "blocked":
-            layout = _BlockedLayout(spec, strategy[1])
-        else:
-            layout = _SpillLayout(spec, strategy[1])
+        layout = _layout_for(spec, strategy)
         if layout.payload_bits != nbits:
             raise FormatError("payload length disagrees with spec")
+        if root_spill >= layout.root_range:
+            raise FormatError("root spill outside its range")
         return cls(spec, strategy, payload, layout, root_spill)
 
     def __eq__(self, other):
@@ -498,10 +537,6 @@ def sa_build(spec: RadixSpec, values: Sequence[int], strategy="packed") -> Succi
     return SuccinctArray.build(spec, values, strategy)
 
 
-def sa_get(arr: SuccinctArray, i: int, probes: set | None = None) -> int:
-    return arr.get(i, probes)
-
-
 # ---------------------------------------------------------------------------
 # Append-capable arrays (packed and blocked only)
 
@@ -509,91 +544,63 @@ def sa_get(arr: SuccinctArray, i: int, probes: set | None = None) -> int:
 class AppendableArray:
     """Append-only packed/blocked array over a radix generator.
 
-    ``radix_fn(i)`` declares the radix of position i.  Gets serve flushed
-    positions from the bit vector and the unflushed tail from the buffer;
-    ``finalize()`` flushes the partial group and seals the array, producing
-    a payload bit-for-bit identical to a batch build over the same spec.
+    ``radix_fn(i)`` declares the radix of position i.  Each full group is
+    flushed into the bit vector and the blocked layout as it completes;
+    gets serve flushed positions from there and the partial group from a
+    buffer.  ``finalize()`` flushes the partial group and seals the array,
+    producing a payload bit-for-bit identical to a batch build over the
+    same spec.
     """
 
     def __init__(self, radix_fn: Callable[[int], int], strategy="blocked"):
-        if isinstance(strategy, str):
-            name, param = strategy, None
-        else:
-            name, param = strategy
-        if name == "spill_tree":
+        self.strategy = normalize_strategy(strategy)
+        if self.strategy[0] == "spill_tree":
             raise UnsupportedOperationError("spill_tree arrays do not support append")
-        if name not in ("packed", "blocked"):
-            raise ParameterError(f"unknown strategy {name!r}")
-        if name == "blocked":
-            param = 8 if param is None else param
-            if param < 1:
-                raise ParameterError("blocked group size must be >= 1")
-        self.strategy = (name, param)
         self.radix_fn = radix_fn
         self.payload = BitVec()
-        self.radices = []
-        self.buffer = []
+        self._layout = _layout_for(RadixSpec(), self.strategy)
+        self._runs = []      # (radix, count) runs of every appended position
+        self.buffer = []     # values of the partial group
+        self._pending = []   # their radices
         self.flushed = 0
         self.sealed = False
-        self._offsets = [0]    # packed: per position; blocked: per group
-        self._widths = []      # same granularity as _offsets
-        self._suffix = []      # blocked: per flushed position
 
     def __len__(self):
-        return len(self.radices)
+        return self.flushed + len(self.buffer)
 
     def append(self, value: int) -> None:
         if self.sealed:
             raise UnsupportedOperationError("array already finalized")
-        i = len(self.radices)
+        i = len(self)
         m = self.radix_fn(i)
         if m < 1:
             raise ParameterError("radix generator produced radix < 1")
         if not 0 <= value < m:
             raise RangeError(f"value {value} outside radix {m} at position {i}")
-        self.radices.append(m)
-        name, b = self.strategy
-        if name == "packed":
-            width = ceil_log2(m) if m > 1 else 0
-            self._widths.append(width)
-            self._offsets.append(self._offsets[-1] + width)
-            self.payload.append(width, value)
-            self.flushed += 1
-            return
+        if self._runs and self._runs[-1][0] == m:
+            self._runs[-1][1] += 1
+        else:
+            self._runs.append([m, 1])
         self.buffer.append(value)
-        if len(self.buffer) == b:
+        self._pending.append(m)
+        if len(self.buffer) == self._layout.b:
             self._flush_group()
 
     def _flush_group(self):
-        lo = self.flushed
         rank = 0
-        width_prod = 1
-        suffix = [1] * len(self.buffer)
-        for off in range(len(self.buffer) - 1, -1, -1):
-            suffix[off] = width_prod
-            width_prod *= self.radices[lo + off]
-        for off, v in enumerate(self.buffer):
-            rank = rank * self.radices[lo + off] + v
-        width = ceil_log2(width_prod) if width_prod > 1 else 0
-        self._widths.append(width)
-        self._offsets.append(self._offsets[-1] + width)
-        self._suffix.extend(suffix)
-        self.payload.append(width, rank)
+        for v, m in zip(self.buffer, self._pending):
+            rank = rank * m + v
+        group = tuple((m, sum(1 for _ in grp)) for m, grp in groupby(self._pending))
+        self.payload.append(self._layout.add(group), rank)
         self.flushed += len(self.buffer)
-        self.buffer = []
+        self.buffer, self._pending = [], []
 
     def get(self, i: int, probes: set | None = None) -> int:
-        if not 0 <= i < len(self.radices):
-            raise RangeError(f"index {i} outside [0,{len(self.radices)})")
+        if not 0 <= i < len(self):
+            raise RangeError(f"index {i} outside [0,{len(self)})")
         if i >= self.flushed:
             return self.buffer[i - self.flushed]
-        name, b = self.strategy
-        if name == "packed":
-            width = self._widths[i]
-            return self.payload.read(self._offsets[i], width, probes) if width else 0
-        gi = i // b
-        rank = self.payload.read(self._offsets[gi], self._widths[gi], probes)
-        return (rank // self._suffix[i]) % self.radices[i]
+        return self._layout.get(self.payload, 0, i, probes)
 
     def finalize(self) -> SuccinctArray:
         if self.sealed:
@@ -601,12 +608,5 @@ class AppendableArray:
         if self.buffer:
             self._flush_group()
         self.sealed = True
-        spec = RadixSpec(tuple(self.radices))
-        name, param = self.strategy
-        if name == "packed":
-            layout = _PackedLayout(spec)
-        else:
-            layout = _BlockedLayout(spec, param)
-        if layout.payload_bits != self.payload.nbits:
-            raise RangeError("append bookkeeping out of sync with layout")
-        return SuccinctArray(spec, self.strategy, self.payload, layout)
+        spec = RadixSpec.from_runs(self._runs)
+        return SuccinctArray(spec, self.strategy, self.payload, self._layout)

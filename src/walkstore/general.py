@@ -447,8 +447,7 @@ class GeneralStore:
             raise FormatError(f"half-block {half_len} inconsistent with length {n}")
         table = BundleTable(graph, n, half_len)
         m = n // (2 * half_len)
-        expect = (table.sum_out,) + (table.sum_pair,) * (m - 1) + (table.sum_in,)
-        if bundles.spec.radices != expect or triples.spec.t != m:
+        if bundles.spec != _bundle_spec(table, m) or triples.spec.t != m:
             raise FormatError("bundle arrays disagree with the declared layout")
         if tail_len != n - 2 * m * half_len:
             raise FormatError("tail length disagrees with the declared layout")
@@ -461,6 +460,10 @@ def _vlen(v: int) -> int:
     out = bytearray()
     write_varint(out, v)
     return len(out)
+
+
+def _bundle_spec(table: BundleTable, m: int) -> RadixSpec:
+    return RadixSpec.from_runs([(table.sum_out, 1), (table.sum_pair, m - 1), (table.sum_in, 1)])
 
 
 def _build_plain_general(g: Graph, w: Walk, branching=2) -> GeneralStore:
@@ -519,10 +522,7 @@ def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) ->
             raise ParameterError("triple radix undershoots a realizable context")
         triple_vals.append(rank - 1)
 
-    bundle_radices = (
-        [table.sum_out] + [table.sum_pair] * (m - 1) + [table.sum_in]
-    )
-    bundle_spec = RadixSpec(tuple(bundle_radices))
+    bundle_spec = _bundle_spec(table, m)
     triple_spec = RadixSpec.uniform_spec(radix, m)
     bundles = SuccinctArray.build(
         bundle_spec, packed_bundles, normalize_strategy(strategy, bundle_spec)

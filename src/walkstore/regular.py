@@ -106,10 +106,9 @@ def _check_admissible(g: Graph, layout: RegularLayout):
 
 
 def _block_spec(g: Graph, layout: RegularLayout) -> RadixSpec:
-    radices = [layout.block_radix] * layout.m
-    if layout.rem:
-        radices.append(layout.rem_radix)
-    return RadixSpec(tuple(radices))
+    return RadixSpec.from_runs(
+        [(layout.block_radix, layout.m), (layout.rem_radix, 1 if layout.rem else 0)]
+    )
 
 
 def _milestone_spec(g: Graph, layout: RegularLayout) -> RadixSpec:
@@ -199,9 +198,9 @@ class RegularStore:
         layout = _layout_for(graph, n, l)
         milestones = SuccinctArray.read_from(cur)
         blocks = SuccinctArray.read_from(cur)
-        if milestones.spec.radices != _milestone_spec(graph, layout).radices:
+        if milestones.spec != _milestone_spec(graph, layout):
             raise FormatError("milestone array disagrees with the declared layout")
-        if blocks.spec.radices != _block_spec(graph, layout).radices:
+        if blocks.spec != _block_spec(graph, layout):
             raise FormatError("block array disagrees with the declared layout")
         return cls(graph, n, blocks.strategy, branching,
                    layout=layout, milestones=milestones, blocks=blocks)
@@ -283,13 +282,13 @@ class RegularStoreBuilder:
         self.layout = _layout_for(g, n, l)
         _check_admissible(g, self.layout)
         self.plain = None
-        ms_spec = _milestone_spec(g, self.layout)
-        blk_spec = _block_spec(g, self.layout)
-        ms_strategy = normalize_strategy(strategy, ms_spec)
-        blk_strategy = normalize_strategy(strategy, blk_spec)
+        lay = self.layout
+        ms_strategy = normalize_strategy(strategy, _milestone_spec(g, lay))
+        blk_strategy = normalize_strategy(strategy, _block_spec(g, lay))
         self.milestones = AppendableArray(lambda i: g.k, ms_strategy)
-        blk_radices = list(blk_spec.radices)
-        self.blocks = AppendableArray(lambda i: blk_radices[i], blk_strategy)
+        self.blocks = AppendableArray(
+            lambda i: lay.block_radix if i < lay.m else lay.rem_radix, blk_strategy
+        )
 
     def append(self, v: int) -> None:
         if self.count > self.n:
@@ -334,7 +333,7 @@ class RegularStoreBuilder:
         b = i // lay.l
         x = self.milestones.get(b)
         y = self.milestones.get(b + 1)
-        code = WalkCode(self.blocks.get(b) + 1, x, y, lay.l)
+        code = WalkCode(self.blocks.get(b) + 1, x, y, lay.rem if b == lay.m else lay.l)
         return decode_vertex(self.tables, code, i - b * lay.l)
 
     def finalize(self) -> RegularStore:

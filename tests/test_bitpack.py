@@ -1,23 +1,28 @@
 import math
 import random
+import time
 
 import pytest
 
 from walkstore.bitpack import (
+    SA_MAGIC,
     AppendableArray,
     BitVec,
     RadixSpec,
     SuccinctArray,
+    _SpillLayout,
     mixed_radix_rank,
     mixed_radix_unrank,
     normalize_strategy,
     sa_build,
 )
 from walkstore.errors import (
+    FormatError,
     ParameterError,
     RangeError,
     UnsupportedOperationError,
 )
+from walkstore.fileio import write_varbig, write_varint
 from walkstore.graph import ceil_log2
 
 
@@ -36,12 +41,68 @@ def test_bitvec_roundtrip():
         assert vec.read(pos, width) == val
 
 
+def test_bitvec_random_ops_match_bit_list():
+    rng = random.Random(21)
+    vec, ref = BitVec(0), []
+
+    def bits_of(value, width):
+        return [(value >> j) & 1 for j in range(width)]
+
+    def value_of(pos, width):
+        return sum(bit << j for j, bit in enumerate(ref[pos : pos + width]))
+
+    for _ in range(600):
+        width = rng.choice([0, 1, 3, 7, 8, 9, 56, 63, 64, 65, 130])
+        value = rng.getrandbits(width)
+        op = rng.randrange(3)
+        if op == 0 or len(ref) < width:
+            vec.append(width, value)
+            ref.extend(bits_of(value, width))
+        elif op == 1:
+            pos = rng.randrange(len(ref) - width + 1)
+            vec.write(pos, width, value)
+            ref[pos : pos + width] = bits_of(value, width)
+        else:
+            pos = rng.randrange(len(ref) - width + 1)
+            assert vec.read(pos, width) == value_of(pos, width)
+    assert vec.nbits == len(ref)
+    for pos in range(0, len(ref) - 130, 37):
+        for width in (1, 8, 64, 65, 130):
+            assert vec.read(pos, width) == value_of(pos, width)
+
+
+def test_bitvec_probes_are_the_words_a_read_spans():
+    rng = random.Random(8)
+    vec = BitVec(1000)
+    for pos, width in [(0, 1), (63, 1), (63, 2), (64, 64), (60, 70), (5, 0), (1000, 0)]:
+        probes = set()
+        vec.read(pos, width, probes)
+        expect = set(range(pos // 64, (pos + width - 1) // 64 + 1)) if width else set()
+        assert probes == expect
+    for _ in range(300):
+        width = rng.randrange(1, 200)
+        pos = rng.randrange(1000 - width + 1)
+        probes = set()
+        vec.read(pos, width, probes)
+        assert probes == set(range(pos // 64, (pos + width - 1) // 64 + 1))
+
+
 def test_bitvec_bounds():
     vec = BitVec(10)
     with pytest.raises(RangeError):
         vec.read(8, 3)
     with pytest.raises(RangeError):
         vec.write(0, 4, 16)  # would wrap
+    with pytest.raises(RangeError):
+        vec.read(-1, 2)
+    with pytest.raises(RangeError):
+        vec.read(11, 0)
+    with pytest.raises(RangeError):
+        vec.write(9, 2, 0)
+    with pytest.raises(RangeError):
+        vec.write(0, 3, -1)
+    with pytest.raises(FormatError):
+        BitVec.from_bytes(b"\x00\x00", 17)
 
 
 def test_bitvec_bytes_roundtrip():
@@ -52,6 +113,9 @@ def test_bitvec_bytes_roundtrip():
         vec.append(w, rng.randrange(2**w) if w else 0)
     back = BitVec.from_bytes(vec.to_bytes(), vec.nbits)
     assert back == vec
+    raw = bytes(rng.randrange(256) for _ in range(9))
+    assert BitVec.from_bytes(raw, 72).to_bytes() == raw
+    assert BitVec.from_bytes(raw, 72).read(60, 12) == int.from_bytes(raw, "little") >> 60
 
 
 def test_mixed_radix_examples():
@@ -278,6 +342,9 @@ def test_spill_tree_single_position():
     assert arr.spill_bits == 10
     assert arr.get(0) == 777
     assert SuccinctArray.from_bytes(arr.to_bytes()).get(0) == 777
+    arr.root_spill = 1000
+    with pytest.raises(FormatError):
+        SuccinctArray.from_bytes(arr.to_bytes())
 
 
 def test_roundtrip_full_scale_t2048():
@@ -312,3 +379,48 @@ def test_empty_array_roundtrip():
         assert back.spec.t == 0
         with pytest.raises(RangeError):
             back.get(0)
+
+
+def test_run_spec_matches_its_radices():
+    spec = RadixSpec((5, 3, 3, 3, 7, 7, 3))
+    assert spec.runs == ((5, 1), (3, 3), (7, 2), (3, 1))
+    assert spec.radices == (5, 3, 3, 3, 7, 7, 3)
+    assert spec == RadixSpec.from_runs([(5, 1), (3, 2), (3, 1), (2, 0), (7, 2), (3, 1)])
+    assert spec.slice_runs(2, 6) == ((3, 2), (7, 2))
+    assert RadixSpec.uniform_spec(4, 10**12).t == 10**12
+
+
+def test_spill_shapes_of_a_run_spec_are_logarithmic():
+    t = 10**6
+    spec = RadixSpec.from_runs([(7, 1), (5, t - 2), (11, 1)])
+    layout = _SpillLayout(spec, t * t)
+    seen, stack = set(), [layout.root]
+    while stack:
+        shape = stack.pop()
+        if id(shape) not in seen:
+            seen.add(id(shape))
+            stack.extend(child for child in shape[3:5] if child is not None)
+    assert len(seen) <= 4 * math.ceil(math.log2(t)) + 8
+
+
+@pytest.mark.parametrize("strategy", ["packed", "blocked", "spill_tree"])
+@pytest.mark.parametrize("nbits", [64, 2**41])
+def test_huge_declared_length_is_rejected_quickly(strategy, nbits):
+    t = 2**40
+    out = bytearray(SA_MAGIC)
+    out.append(SuccinctArray._TAGS[strategy])
+    write_varint(out, t)
+    out.append(1)  # uniform spec
+    write_varbig(out, 3)
+    if strategy == "blocked":
+        write_varint(out, t)
+    elif strategy == "spill_tree":
+        write_varbig(out, t * t)
+        write_varbig(out, 0)
+    write_varint(out, nbits)
+    out.extend(bytes(8))
+    assert len(out) < 48
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        SuccinctArray.from_bytes(bytes(out))
+    assert time.perf_counter() - start < 1

@@ -156,6 +156,18 @@ def test_online_matches_batch(c3):
         assert store.vertex_at(i) == w.verts[i]
 
 
+def test_online_reads_remainder_block_before_finalize(k4):
+    n = 4101
+    w = gen_walk(k4, n, seed=1)
+    online = RegularStoreBuilder(k4, n, strategy="blocked")
+    for v in w.verts:
+        online.append(v)
+    lay = online.layout
+    assert (lay.l, lay.rem) == (15, 6)
+    for i in range(lay.m * lay.l, n + 1):
+        assert online.vertex_at(i) == w.verts[i]
+
+
 def test_online_buffer_queries(c3):
     w = gen_walk(c3, 50, seed=31)
     online = RegularStoreBuilder(c3, 50)
