@@ -22,7 +22,6 @@ from .dictionary import (
     HuffmanGraph,
     SuccinctDictionary,
     build_dictionary,
-    build_huffman_graph,
 )
 from .errors import (
     FormatError,
@@ -65,8 +64,6 @@ from .pointwise import (
     NodeLabel,
     PointwiseStore,
     build_pointwise,
-    count_labeled,
-    label_of,
 )
 from .regular import (
     RegularStore,

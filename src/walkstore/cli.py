@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedOperationError,
     WalkstoreError,
 )
-from .fileio import dist_from_json, load_graph, load_walk, save_walk
+from .fileio import dist_from_json, load_graph, load_walk, read_text, save_walk
 from .graph import (
     Graph,
     complete,
@@ -170,10 +170,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    with open(args.dist, "r", encoding="utf-8") as fh:
-        symbols, lens = dist_from_json(fh.read())
-    with open(args.text, "r", encoding="utf-8") as fh:
-        text = fh.read().rstrip("\n")
+    symbols, lens = dist_from_json(read_text(args.dist))
+    text = read_text(args.text).rstrip("\n")
     start = time.perf_counter()
     d = build_dictionary(DyadicDist(symbols, lens), text)
     build_seconds = time.perf_counter() - start

@@ -157,10 +157,6 @@ class HuffmanGraph:
         return "".join(out)
 
 
-def build_huffman_graph(dist: DyadicDist) -> HuffmanGraph:
-    return HuffmanGraph(dist)
-
-
 class SuccinctDictionary:
     """String store over the walk encoding; get(i) is one walk query."""
 

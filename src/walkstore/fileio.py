@@ -107,9 +107,17 @@ def graph_from_json(text: str) -> Graph:
     return Graph(k, edges, directed=directed)
 
 
+def read_text(path: str) -> str:
+    """The file's contents as UTF-8 text; FormatError when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+    return graph_from_json(read_text(path))
 
 
 def save_graph(g: Graph, path: str) -> None:

@@ -14,13 +14,17 @@ random walk with that label has entropy lg N <= lg|G| + S/P, the payload
 stays within a couple of bits of the per-walk benchmark.  Queries descend
 the implicit tree, peeling the rank by enumerating the (boundary pair,
 cost split) choices in canonical order; resolved nodes are cached on the
-store so scattered queries do not redo the arithmetic.
+store so scattered queries do not redo the arithmetic.  That cache is not
+bounded: a scan of every position leaves about n nodes in it.
 
 Count tables are dictionaries keyed by cost sum, built by convolving child
-tables.  When every step cost is a multiple of a common lattice the
-convolution runs as one big-integer multiply (coefficients packed into
-fixed-width limbs), which keeps builds at dictionary-bridge scale fast;
-gmpy2 provides the multiply when available.
+tables: one convolution per source vertex u of the split edge, with the
+right tables of u's successors added first.  When every step cost is a
+multiple of a common lattice the convolution runs as one big-integer
+multiply (coefficients packed into fixed-width limbs), which keeps builds at
+dictionary-bridge scale fast; gmpy2 provides the multiply when available.
+The root count (and so payload_bits) is one coefficient, summed from the
+child tables, so the size-(n+1) table is never built.
 """
 
 from __future__ import annotations
@@ -28,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidWalkError, ParameterError, RangeError
+from .errors import FormatError, InvalidWalkError, ParameterError, RangeError
 from .fileio import Cursor, write_varbig, write_varint
 from .graph import Graph, Walk, ceil_log2
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # pragma: no cover - gmpy2 is the optional 'fast' extra
     _mpz = int
 
 MAGIC = b"RWP1"
@@ -95,14 +99,15 @@ class LabelCounts:
         else:
             a, b = self.split(size)
             result = {}
-            for u, w in self.edges:
+            for u in range(self.graph.k):
                 left = self.count_map(a, x, u)
                 if not left:
                     continue
-                right = self.count_map(b, w, y)
-                if not right:
-                    continue
-                self._conv_into(result, left, right, self.costs[u])
+                right = _add_tables(
+                    [self.count_map(b, w, y) for w in self.graph.successors(u)]
+                )
+                if right:
+                    self._conv_into(result, left, right, self.costs[u])
         self._maps[key] = result
         return result
 
@@ -113,7 +118,24 @@ class LabelCounts:
         return self._sorted_keys[key]
 
     def count(self, size: int, x: int, y: int, cost: int) -> int:
-        return self.count_map(size, x, y).get(cost, 0)
+        """N(size, x, y)[cost], from the cached table or else as one
+        coefficient of the child tables, building no size-``size`` table."""
+        if size == 1 or (size, x, y) in self._maps:
+            return self.count_map(size, x, y).get(cost, 0)
+        a, b = self.split(size)
+        return sum(self.edge_mass(a, b, x, y, u, w, cost) for u, w in self.edges)
+
+    def edge_mass(self, a: int, b: int, x: int, y: int, u: int, w: int,
+                  total: int, below: int | None = None) -> int:
+        """Walks at cost ``total`` that cross the split by edge (u, w): the sum
+        of L(a, x, u)[sl] * R(b, w, y)[total - c_u - sl] over sl < ``below``."""
+        left = self.count_map(a, x, u)
+        if not left:
+            return 0
+        right = self.count_map(b, w, y)
+        target = total - self.costs[u]
+        return sum(nl * right.get(target - sl, 0) for sl, nl in left.items()
+                   if below is None or sl < below)
 
     def count_root(self, size: int, cost: int) -> int:
         """Count with free endpoints (root labels carry only the cost sum)."""
@@ -153,6 +175,17 @@ class LabelCounts:
                 result[s] = result.get(s, 0) + coeff
 
 
+def _add_tables(tables) -> dict:
+    """Coefficient-wise sum of count tables (a lone table is returned as is)."""
+    if len(tables) == 1:
+        return tables[0]
+    total = {}
+    for table in tables:
+        for s, value in table.items():
+            total[s] = total.get(s, 0) + value
+    return total
+
+
 def _pack(table: dict, g: int, lo: int, hi: int, width: int) -> int:
     nbytes = width // 8
     buf = bytearray((hi - lo + 1) * nbytes)
@@ -178,29 +211,10 @@ def _rank_walk(engine: LabelCounts, verts, cum, lo: int, size: int) -> int:
     u, w = verts[lo + a - 1], verts[lo + a]
     s_left = cum[lo + a - 1] - cum[lo]
     s_right = total - s_left - engine.costs[u]
-    rank = 0
-    for u2, w2 in engine.edges:
-        if (u2, w2) > (u, w):
-            break
-        left = engine.count_map(a, x, u2)
-        if not left:
-            continue
-        right = engine.count_map(b, w2, y)
-        if not right:
-            continue
-        c2 = engine.costs[u2]
-        if (u2, w2) < (u, w):
-            for sl, nl in left.items():
-                nr = right.get(total - c2 - sl)
-                if nr:
-                    rank += nl * nr
-        else:
-            for sl in engine.sorted_keys(a, x, u2):
-                if sl >= s_left:
-                    break
-                nr = right.get(total - c2 - sl)
-                if nr:
-                    rank += left[sl] * nr
+    edges = engine.edges
+    before = edges[: edges.index((u, w))]
+    rank = sum(engine.edge_mass(a, b, x, y, u2, w2, total) for u2, w2 in before)
+    rank += engine.edge_mass(a, b, x, y, u, w, total, below=s_left)
     n_right = engine.count(b, w, y, s_right)
     rank_left = _rank_walk(engine, verts, cum, lo, a)
     rank_right = _rank_walk(engine, verts, cum, lo + a, b)
@@ -270,15 +284,19 @@ class PointwiseStore:
     def vertex_at(self, q: int, probes: set | None = None) -> int:
         if not 0 <= q <= self.n:
             raise RangeError(f"index {q} outside [0,{self.n}]")
+        if probes is not None:
+            # the root divmod reads every word of the stored rank
+            probes.update(range(max(1, -(-self.rank0.bit_length() // 64))))
+        resolved = self._resolved
         lo, size = 0, self.n + 1
         x, y, total, rank = self.first, self.last, self.cost, self.rank0
         while size > 1:
-            node = self._resolved.get((lo, size))
+            node = resolved.get((lo, size))
             if node is None:
                 node = _resolve_node(self.engine, size, x, y, total, rank)
-                self._resolved[(lo, size)] = node
+                resolved[(lo, size)] = node
             u, w, s_left, s_right, rank_left, rank_right = node
-            a, _ = self.engine.split(size)
+            a = (size + 1) // 2
             if q < a:
                 size, y, total, rank = a, u, s_left, rank_left
             else:
@@ -306,6 +324,11 @@ class PointwiseStore:
         branching = cur.u8()
         first = cur.u8()
         last = cur.u8()
+        if branching != 2 or max(first, last) >= graph.k or precision < 1:
+            raise FormatError(
+                f"bad pointwise header: branching {branching}, endpoints ({first}, "
+                f"{last}) on {graph.k} vertices, precision {precision}"
+            )
         cost = cur.varbig()
         rank0 = cur.varbig()
         return cls(graph, n, precision, branching, first, last, cost, rank0)
@@ -326,9 +349,7 @@ def build_pointwise(g: Graph, w: Walk, precision: int | None = None,
             "enumeration past the configured cap"
         )
     n = w.length
-    precision = n if precision is None else precision
-    if precision < 1:
-        precision = 1
+    precision = max(1, n if precision is None else precision)
     if engine is None:
         engine = LabelCounts(g, precision)
     elif engine.graph != g or engine.precision != precision:
@@ -353,26 +374,3 @@ def walk_from_rank(g: Graph, n: int, first: int, last: int, cost: int,
     if not 0 <= rank0 < max(total, 1):
         raise RangeError(f"rank {rank0} outside [0,{total})")
     return store.decode_walk()
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations mirroring the store's primitives
-
-
-def label_of(g: Graph, verts, precision: int) -> NodeLabel:
-    return LabelCounts(g, precision).label_of(verts)
-
-
-def count_labeled(g: Graph, size: int, label, precision: int) -> int:
-    """Number of vertex arrays of ``size`` leaves with the given label.
-
-    ``label`` is a NodeLabel / (first, last, cost) triple, or a bare cost
-    sum for root-style labels with free endpoints.
-    """
-    engine = LabelCounts(g, precision)
-    if isinstance(label, NodeLabel):
-        return engine.count(size, label.first, label.last, label.cost)
-    if isinstance(label, tuple):
-        first, last, cost = label
-        return engine.count(size, first, last, cost)
-    return engine.count_root(size, label)

@@ -183,6 +183,29 @@ def test_dict_commands(tmp_path, capsys):
     assert out.split() == ["a", "c", "b"]
 
 
+def test_non_utf8_inputs_exit_parse_error(workspace, capsys):
+    ws, _, _ = workspace
+    bad = ws / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(
+        ["encode", "--graph", str(bad), "--walk", str(ws / "w.wlk"),
+         "--out", str(ws / "x.rws")],
+        capsys,
+    )
+    assert code == 2
+    assert "UTF-8" in err
+    (ws / "d.json").write_text(dist_to_json(["a", "b", "c"], [1, 2, 2]))
+    (ws / "x.txt").write_text("abc\n")
+    for dist, text in [(bad, ws / "x.txt"), (ws / "d.json", bad)]:
+        code, _, err = run(
+            ["dict", "--dist", str(dist), "--text", str(text),
+             "--out", str(ws / "d.rwd")],
+            capsys,
+        )
+        assert code == 2
+        assert "UTF-8" in err
+
+
 def test_bench_grid(tmp_path, capsys):
     code, out, _ = run(
         ["bench", "--graphs", "c3,fib", "--sizes", "256", "--modes", "auto",

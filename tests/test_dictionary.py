@@ -5,9 +5,9 @@ import pytest
 
 from walkstore.dictionary import (
     DyadicDist,
+    HuffmanGraph,
     SuccinctDictionary,
     build_dictionary,
-    build_huffman_graph,
 )
 from walkstore.errors import ParameterError, RangeError
 from walkstore.graph import analyze, benchmark_pointwise_bits
@@ -22,7 +22,7 @@ def entropy_bits(text, dist):
 
 
 def test_graph_shape_abc():
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     assert hg.dist.depth == 2
     assert hg.graph.k == 6  # 5 tree vertices + 1 return vertex for 'a'
     assert hg.cycle_len == 3
@@ -32,13 +32,13 @@ def test_graph_shape_abc():
 
 
 def test_graph_shape_uniform_pair():
-    hg = build_huffman_graph(DyadicDist(["a", "b"], [1, 1]))
+    hg = HuffmanGraph(DyadicDist(["a", "b"], [1, 1]))
     assert hg.graph.k == 3  # pure tree, direct return edges
     assert hg.cycle_len == 2
 
 
 def test_cycle_length_invariant():
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     for idx, sym in enumerate(hg.dist.symbols):
         walk = hg.string_to_walk(sym)
         assert walk.length == hg.cycle_len
@@ -46,7 +46,7 @@ def test_cycle_length_invariant():
 
 
 def test_out_degrees():
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     g = hg.graph
     internal = {hg.root} | {
         u for u in range(g.k) if g.out_deg[u] == 2
@@ -66,7 +66,7 @@ def test_invalid_distributions():
 
 
 def test_string_walk_inverse():
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     rng = random.Random(3)
     for _ in range(20):
         text = "".join(rng.choice("abc") for _ in range(rng.randrange(0, 40)))
@@ -77,7 +77,7 @@ def test_string_walk_inverse():
 
 def test_walk_entropy_accounting():
     # walk benchmark = lg|G| + H0(x) when frequencies match the distribution
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     text = "aabc"
     walk = hg.string_to_walk(text)
     expect = math.log2(hg.graph.k) + entropy_bits(text, hg.dist)
@@ -135,7 +135,7 @@ def test_serialization_roundtrip():
 
 
 def test_unknown_symbol():
-    hg = build_huffman_graph(dist_abc())
+    hg = HuffmanGraph(dist_abc())
     with pytest.raises(RangeError):
         hg.string_to_walk("abz")
 

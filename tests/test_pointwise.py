@@ -5,9 +5,11 @@ from collections import defaultdict
 import pytest
 
 from conftest import enumerate_walks, random_digraph
-from walkstore.errors import ParameterError, RangeError
-from walkstore.fileio import Cursor
+import walkstore.pointwise as pw
+from walkstore.errors import FormatError, ParameterError, RangeError
+from walkstore.fileio import Cursor, write_varbig, write_varint
 from walkstore.graph import (
+    Graph,
     Walk,
     benchmark_pointwise_bits,
     complete,
@@ -21,24 +23,27 @@ from walkstore.pointwise import (
     NodeLabel,
     PointwiseStore,
     build_pointwise,
-    count_labeled,
-    label_of,
     walk_from_rank,
 )
+from walkstore.report import build_report
 
 
 def test_label_examples(k4, fib):
-    assert label_of(k4, (0, 1, 2), 2) == NodeLabel(0, 2, 8)
-    assert label_of(k4, (3,), 2) == NodeLabel(3, 3, 0)
-    assert label_of(fib, (0, 1, 0), 4) == NodeLabel(0, 0, 4)
+    assert LabelCounts(k4, 2).label_of((0, 1, 2)) == NodeLabel(0, 2, 8)
+    assert LabelCounts(k4, 2).label_of((3,)) == NodeLabel(3, 3, 0)
+    assert LabelCounts(fib, 4).label_of((0, 1, 0)) == NodeLabel(0, 0, 4)
 
 
 def test_count_labeled_base(fib):
-    assert count_labeled(fib, 1, NodeLabel(0, 0, 0), 4) == 1
-    assert count_labeled(fib, 1, (0, 1, 0), 4) == 0
+    engine = LabelCounts(fib, 4)
+    assert engine.count(1, 0, 0, 0) == 1
+    assert engine.count(1, 0, 1, 0) == 0
     # unique walk (0,0): one step from vertex 0 at cost ceil(P lg 2) = P
-    assert count_labeled(fib, 2, (0, 0, 4), 4) == 1
-    assert count_labeled(fib, 2, (0, 0, 3), 4) == 0
+    assert engine.count(2, 0, 0, 4) == 1
+    assert engine.count(2, 0, 0, 3) == 0
+    # free endpoints: (0,0) and (0,1) cost P, (1,0) costs nothing
+    assert engine.count_root(2, 4) == 2
+    assert engine.count_root(2, 0) == 1
 
 
 @pytest.mark.parametrize("gname", ["fib", "c3", "k4"])
@@ -53,24 +58,65 @@ def test_count_conservation(gname, fib, c3, k4):
                 assert total == counts.count(x, y, size - 1)
 
 
-def test_kronecker_matches_plain(fib):
-    # force the packed path by convolving larger maps, compare with brute force
-    import walkstore.pointwise as pw
+def _mixed_degree_digraph():
+    """Out-degrees 3, 2, 1 and 3, so step costs P lg 3, P and 0 mix."""
+    return Graph(
+        4,
+        [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 0), (3, 0), (3, 1), (3, 2)],
+        directed=True,
+    )
 
-    engine = pw.LabelCounts(fib, 64)
-    big = engine.count_map(65, 0, 0)
-    brute = defaultdict(int)
-    for verts in enumerate_walks(fib, 8, 0, 0):
-        # extend by exhaustive recursion is too big at 64; instead check a
-        # mid-size map against dict-only convolution
-        pass
-    old = pw._KRONECKER_CUTOFF
-    try:
-        pw._KRONECKER_CUTOFF = 10**9  # dict path only
-        plain_engine = pw.LabelCounts(fib, 64)
-        assert plain_engine.count_map(65, 0, 0) == big
-    finally:
-        pw._KRONECKER_CUTOFF = old
+
+def test_kronecker_matches_plain(fib, monkeypatch):
+    g = _mixed_degree_digraph()
+    precision = 5
+    costs = LabelCounts(g, precision).costs
+    assert len(set(costs)) == 3
+    for cutoff in (0, 10**9):  # every convolution packed, then none
+        monkeypatch.setattr(pw, "_KRONECKER_CUTOFF", cutoff)
+        engine = LabelCounts(g, precision)
+        for size in range(1, 9):
+            brute = defaultdict(lambda: defaultdict(int))
+            for verts in enumerate_walks(g, size - 1):
+                brute[verts[0], verts[-1]][sum(costs[v] for v in verts[:-1])] += 1
+            for x in range(g.k):
+                for y in range(g.k):
+                    assert engine.count_map(size, x, y) == dict(brute[x, y]), (cutoff, size)
+        monkeypatch.undo()
+    # tables large enough to pick the packed path on their own
+    big = LabelCounts(fib, 64).count_map(65, 0, 0)
+    monkeypatch.setattr(pw, "_KRONECKER_CUTOFF", 10**9)
+    assert LabelCounts(fib, 64).count_map(65, 0, 0) == big
+
+
+def test_direct_count_matches_table():
+    g = _mixed_degree_digraph()
+    reference = LabelCounts(g, 5)
+    for size in range(1, 12):
+        direct = LabelCounts(g, 5)
+        for x in range(g.k):
+            for y in range(g.k):
+                table = reference.count_map(size, x, y)
+                absent = max(table, default=0) + 1
+                for cost in [*table, absent]:
+                    assert direct.count(size, x, y, cost) == table.get(cost, 0)
+        assert size == 1 or not any(key[0] == size for key in direct._maps)
+
+
+def test_payload_bits_builds_no_root_table(fib):
+    w = gen_walk(fib, 300, seed=4)
+    built = build_pointwise(fib, w)
+    store = PointwiseStore.from_body(Cursor(built.body_bytes()), fib)
+    assert store.payload_bits == built.payload_bits
+    assert (store.n + 1, store.first, store.last) not in store.engine._maps
+
+
+def test_probe_words_cover_stored_rank(fib):
+    store = build_pointwise(fib, gen_walk(fib, 2**10, seed=2))
+    words = max(1, math.ceil(store.rank0.bit_length() / 64))
+    report = build_report(store, "pointwise")
+    assert words > 1
+    assert report.probe_words_min == report.probe_words_max == words
 
 
 @pytest.mark.parametrize(
@@ -179,3 +225,31 @@ def test_branching_other_than_two_rejected(fib):
 def test_rank_out_of_range(fib):
     with pytest.raises(RangeError):
         walk_from_rank(fib, 4, 0, 0, 10**9, 10**9)
+
+
+def _body(n=4, precision=4, branching=2, first=0, last=0, cost=12, rank0=1):
+    out = bytearray()
+    write_varint(out, n)
+    write_varint(out, precision)
+    out += bytes([branching, first, last])
+    write_varbig(out, cost)
+    write_varbig(out, rank0)
+    return bytes(out)
+
+
+def test_from_body_accepts_crafted_header(fib):
+    built = build_pointwise(fib, Walk(fib, (0, 0, 1, 0, 0)))
+    assert _body(rank0=built.rank0) == built.body_bytes()
+    store = PointwiseStore.from_body(Cursor(_body(rank0=built.rank0)), fib)
+    assert [store.vertex_at(q) for q in range(5)] == [0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"branching": 3}, {"branching": 0}, {"first": 2}, {"last": 2},
+     {"precision": 0}],
+    ids=["branching3", "branching0", "first", "last", "precision"],
+)
+def test_from_body_rejects_bad_header(fib, fields):
+    with pytest.raises(FormatError):
+        PointwiseStore.from_body(Cursor(_body(**fields)), fib)
