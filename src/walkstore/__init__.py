@@ -7,7 +7,6 @@ from .bitpack import (
     SuccinctArray,
     mixed_radix_rank,
     mixed_radix_unrank,
-    sa_build,
 )
 from .codec import (
     CodecTables,
@@ -39,7 +38,6 @@ from .general import (
     GeneralStore,
     PeriodicStore,
     SccStore,
-    build_bundle_table,
     build_general,
     choose_half_block,
     wrap_periodic,
@@ -49,14 +47,12 @@ from .graph import (
     CountTable,
     Graph,
     GraphAnalysis,
-    SpectralData,
     Walk,
     analyze,
     benchmark_pointwise_bits,
     benchmark_worstcase_bits,
     count_walks,
     gen_walk,
-    spectral,
     total_walks,
 )
 from .pointwise import (

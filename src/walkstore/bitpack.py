@@ -533,10 +533,6 @@ class SuccinctArray:
         return isinstance(other, SuccinctArray) and self.to_bytes() == other.to_bytes()
 
 
-def sa_build(spec: RadixSpec, values: Sequence[int], strategy="packed") -> SuccinctArray:
-    return SuccinctArray.build(spec, values, strategy)
-
-
 # ---------------------------------------------------------------------------
 # Append-capable arrays (packed and blocked only)
 

@@ -212,15 +212,14 @@ class BundleCoords:
     vertex: int
     slice_in: int | None   # None at the first milestone
     slice_out: int | None  # None at the last milestone
-    packed: int
-
-
-def build_bundle_table(g: Graph, n: int, half_len: int) -> BundleTable:
-    return BundleTable(g, n, half_len)
 
 
 # ---------------------------------------------------------------------------
 # Half-block admissibility
+
+
+def _half_block_cap(n: int) -> int:
+    return min(n // 4, 64 * max(1, (max(n, 2) - 1).bit_length()))
 
 
 def choose_half_block(g: Graph, n: int) -> int | None:
@@ -235,8 +234,7 @@ def choose_half_block(g: Graph, n: int) -> int | None:
     counts = g.counts()
     k = g.k
     nn = n * n
-    cap = 64 * max(1, (max(n, 2) - 1).bit_length())
-    for half in range(1, min(n // 4, cap) + 1):
+    for half in range(1, _half_block_cap(n) + 1):
         total = counts.total(half)
         s = [counts.row_total(x, half) * nn // total for x in range(k)]
         t = [counts.col_total(x, half) * nn // total for x in range(k)]
@@ -349,12 +347,12 @@ class GeneralStore:
         value = self.bundles.get(i, probes)
         if i == 0:
             x, j = self.table.unpack_end(value, "out")
-            return BundleCoords(x, None, j, value)
+            return BundleCoords(x, None, j)
         if i == m:
             x, j = self.table.unpack_end(value, "in")
-            return BundleCoords(x, j, None, value)
+            return BundleCoords(x, j, None)
         x, j_in, j_out = self.table.unpack_interior(value)
-        return BundleCoords(x, j_in, j_out, value)
+        return BundleCoords(x, j_in, j_out)
 
     def vertex_at(self, q: int, probes: set | None = None) -> int:
         if not 0 <= q <= self.n:
@@ -443,11 +441,13 @@ class GeneralStore:
         tail_code = cur.varbig()
         bundles = SuccinctArray.read_from(cur)
         triples = SuccinctArray.read_from(cur)
-        if half_len < 1 or n // (2 * half_len) < 1:
+        if not 1 <= half_len <= _half_block_cap(n):
             raise FormatError(f"half-block {half_len} inconsistent with length {n}")
-        table = BundleTable(graph, n, half_len)
         m = n // (2 * half_len)
-        if bundles.spec != _bundle_spec(table, m) or triples.spec.t != m:
+        if bundles.spec.t != m + 1 or triples.spec.t != m:
+            raise FormatError("bundle arrays disagree with the declared layout")
+        table = BundleTable(graph, n, half_len)
+        if bundles.spec != _bundle_spec(table, m):
             raise FormatError("bundle arrays disagree with the declared layout")
         if tail_len != n - 2 * m * half_len:
             raise FormatError("tail length disagrees with the declared layout")

@@ -1,8 +1,9 @@
 """Graphs, exact walk counting, structural analysis and walk generation.
 
 All quantities that stores depend on (walk counts, benchmarks, admissibility
-checks) are exact arbitrary-precision integers.  Floating-point spectral data
-is computed only as a diagnostic and nothing binds on it.
+checks) are exact arbitrary-precision integers.  Walk totals at long lengths
+come from the minimal integer recurrence of the all-ones vector; matrix
+squares serve only single entries of A^l.
 """
 
 from __future__ import annotations
@@ -144,11 +145,14 @@ def _mat_mult(a, b, k: int):
 
 
 class CountTable:
-    """Exact powers A^l of the adjacency matrix, memoized by length.
+    """Exact walk counts: powers A^l of the adjacency matrix and A^l·1.
 
     N_l(x, y) = A^l[x][y] is the number of length-l walks from x to y.
-    Lengths up to ``memo_limit`` are kept in a dense list; larger powers are
-    recombined from cached power-of-two squares.
+    Lengths up to ``memo_limit`` are kept in a dense list.  Beyond it,
+    ``power`` recombines cached power-of-two squares, while ``total`` and
+    ``row_total`` need only A^l·1: they reduce x^l modulo the minimal
+    recurrence of the all-ones vector and combine its Krylov vectors, with
+    no matrix product at all.
     """
 
     def __init__(self, graph: Graph, memo_limit: int = COUNT_MEMO_LIMIT):
@@ -156,6 +160,7 @@ class CountTable:
         self.memo_limit = memo_limit
         self._seq = [_identity(graph.k)]
         self._pow2 = {}
+        self._recurrence = None
 
     def power(self, l: int):
         if l < 0:
@@ -182,7 +187,7 @@ class CountTable:
     def _pow2_of(self, j: int):
         if j not in self._pow2:
             if j == 0:
-                self._pow2[0] = self.power(1)
+                self._pow2[0] = self.graph.adj
             else:
                 half = self._pow2_of(j - 1)
                 self._pow2[j] = _mat_mult(half, half, self.graph.k)
@@ -199,13 +204,23 @@ class CountTable:
             j += 1
         return result if result is not None else _identity(self.graph.k)
 
+    def _ones_power(self, l: int) -> list:
+        """A^l·1: the number of length-l walks from each vertex."""
+        if not self.memo_limit < l <= MAX_WALK_LENGTH:  # memo, or power() raises
+            return [sum(row) for row in self.power(l)]
+        if self._recurrence is None:
+            self._recurrence = _ones_recurrence(self.graph)
+        coeffs, krylov = self._recurrence
+        r = _x_power_mod(coeffs, l)
+        return [sum(ri * u[x] for ri, u in zip(r, krylov)) for x in range(self.graph.k)]
+
     def count(self, x: int, y: int, l: int) -> int:
         """Number of length-l walks from x to y."""
         return self.power(l)[x][y]
 
     def row_total(self, x: int, l: int) -> int:
         """Number of length-l walks starting at x (free end)."""
-        return sum(self.power(l)[x])
+        return self._ones_power(l)[x]
 
     def col_total(self, y: int, l: int) -> int:
         """Number of length-l walks ending at y (free start)."""
@@ -214,7 +229,66 @@ class CountTable:
 
     def total(self, l: int) -> int:
         """Number of length-l walks with both endpoints free."""
-        return sum(sum(row) for row in self.power(l))
+        return sum(self._ones_power(l))
+
+
+def _ones_recurrence(g: Graph):
+    """(c, u): Krylov vectors u_i = A^i·1 for i < d and integers c_i with
+    A^d·1 = sum(c_i u_i), d least.  Fraction-free (Bareiss) elimination of
+    the u_i, each row carrying its combination of them; the first u_d that
+    reduces to zero gives the relation times a factor that divides every
+    coefficient, since q(x) = x^d - sum(c_i x^i) divides the characteristic
+    polynomial (Gauss's lemma)."""
+    k = g.k
+    krylov = [(1,) * k]
+    pivots = []  # (column, row): a reduced Krylov vector, then its combination
+    while True:
+        j = len(pivots)
+        row = list(krylov[j]) + [0] * (k + 1)
+        row[k + j] = 1
+        prev = 1
+        for col, prow in pivots:
+            p, f = prow[col], row[col]
+            row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            prev = p
+        col = next((i for i in range(k) if row[i]), None)
+        if col is None:
+            break
+        pivots.append((col, row))
+        krylov.append(tuple(sum(krylov[j][y] for y in g._out[x]) for x in range(k)))
+    lead = row[k + j]
+    coeffs = []
+    for a in row[k:k + j]:
+        c, rest = divmod(-a, lead)
+        if rest:
+            raise ArithmeticError("walk-count recurrence has a non-integer coefficient")
+        coeffs.append(c)
+    return coeffs, krylov[:j]
+
+
+def _x_power_mod(c, l: int) -> list:
+    """x^l mod x^d - sum(c_i x^i), lowest term first, by square-and-multiply:
+    d(d+1)/2 big multiplies per squaring; a multiply by x is a shift."""
+    d = len(c)
+    r = [1] + [0] * (d - 1)
+    for bit in bin(l)[2:]:
+        sq = [0] * (2 * d - 1)
+        for i, a in enumerate(r):
+            if a:
+                sq[2 * i] += a * a
+                a2 = a << 1
+                for j in range(i + 1, d):
+                    sq[i + j] += a2 * r[j]
+        if bit == "1":
+            sq.insert(0, 0)
+        for deg in range(len(sq) - 1, d - 1, -1):
+            top = sq[deg]
+            if top:
+                for i, ci in enumerate(c):
+                    if ci:
+                        sq[deg - d + i] += top * ci
+        r = sq[:d]
+    return r
 
 
 def count_walks(g: Graph, l: int):
@@ -385,78 +459,6 @@ def analyze(g: Graph) -> GraphAnalysis:
         is_bipartite=_is_bipartite_undirected(g),
         is_regular=regular,
         degree=g.out_deg[0] if regular else None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Spectral diagnostics (advisory only; nothing binding uses these)
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    leading: float             # leading eigenvalue of A
-    left: tuple                # left eigenvector (sums to 1)
-    right: tuple               # right eigenvector (sums to 1)
-    stationary: tuple          # stationary distribution of the transition matrix
-    gap: float                 # 1 - |lambda_2| / lambda
-
-
-def _power_iterate(mat_vec, k: int, tol: float = 1e-12, max_iter: int = 500_000):
-    vec = [1.0 / k] * k
-    value = 1.0
-    for _ in range(max_iter):
-        nxt = mat_vec(vec)
-        norm = sum(nxt)
-        nxt = [x / norm for x in nxt]
-        value = norm
-        if max(abs(a - b) for a, b in zip(nxt, vec)) < tol:
-            return value, nxt
-        vec = nxt
-    return value, vec
-
-
-def spectral(g: Graph) -> SpectralData:
-    """Leading eigen-data via power iteration on A + I (diagnostics only)."""
-    info = analyze(g)
-    if not info.is_strongly_connected:
-        raise UnsupportedGraphError("spectral data needs a strongly connected graph")
-    k = g.k
-    adj = g.adj
-
-    def av(vec):  # (A + I) v
-        return [vec[u] + sum(vec[v] for v in g._out[u]) for u in range(k)]
-
-    def atv(vec):  # (A + I)^T v
-        return [vec[v] + sum(vec[u] for u in g._in[v]) for v in range(k)]
-
-    val_r, right = _power_iterate(av, k)
-    _, left = _power_iterate(atv, k)
-    leading = val_r - 1.0
-
-    deg = g.out_deg
-
-    def ptv(vec):  # ((P + I)/2)^T v
-        out = []
-        for v in range(k):
-            acc = vec[v]
-            for u in g._in[v]:
-                acc += vec[u] / deg[u]
-            out.append(acc / 2.0)
-        return out
-
-    _, stationary = _power_iterate(ptv, k)
-
-    import numpy as np
-
-    eigvals = sorted(abs(x) for x in np.linalg.eigvals(np.array(adj, dtype=float)))
-    second = eigvals[-2] if k > 1 else 0.0
-    gap = 1.0 - second / leading if leading > 0 else 0.0
-    return SpectralData(
-        leading=leading,
-        left=tuple(left),
-        right=tuple(right),
-        stationary=tuple(stationary),
-        gap=gap,
     )
 
 

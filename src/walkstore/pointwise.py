@@ -307,6 +307,8 @@ class PointwiseStore:
         return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
 
     def body_bytes(self) -> bytes:
+        if max(self.first, self.last) > 255:
+            raise FormatError(f"endpoints ({self.first}, {self.last}) exceed the u8 limit 255")
         out = bytearray()
         write_varint(out, self.n)
         write_varint(out, self.precision)

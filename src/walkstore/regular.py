@@ -193,11 +193,14 @@ class RegularStore:
             plain = SuccinctArray.read_from(cur)
             return cls(graph, n, plain.strategy, branching, plain=plain)
         l = cur.varint()
-        if not 1 <= l <= max(1, n // 2):
+        if not 1 <= l <= min(max(1, n // 2), _scan_cap(n)):
             raise FormatError(f"block length {l} inconsistent with walk length {n}")
-        layout = _layout_for(graph, n, l)
         milestones = SuccinctArray.read_from(cur)
         blocks = SuccinctArray.read_from(cur)
+        m, rem = divmod(n, l)
+        if milestones.spec.t != m + 1 + bool(rem) or blocks.spec.t != m + bool(rem):
+            raise FormatError("array lengths disagree with the declared block length")
+        layout = _layout_for(graph, n, l)
         if milestones.spec != _milestone_spec(graph, layout):
             raise FormatError("milestone array disagrees with the declared layout")
         if blocks.spec != _block_spec(graph, layout):

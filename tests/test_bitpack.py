@@ -14,7 +14,6 @@ from walkstore.bitpack import (
     mixed_radix_rank,
     mixed_radix_unrank,
     normalize_strategy,
-    sa_build,
 )
 from walkstore.errors import (
     FormatError,
@@ -161,14 +160,14 @@ def test_info_bits():
 def test_packed_example():
     bits = [(0xA5 >> i) & 1 for i in range(7, -1, -1)]
     spec = RadixSpec((2,) * 8)
-    arr = sa_build(spec, bits, "packed")
+    arr = SuccinctArray.build(spec, bits, "packed")
     assert arr.payload_bits == 8
     assert arr.values() == bits
 
 
 def test_blocked_example():
     spec = RadixSpec((3, 3, 3))
-    arr = sa_build(spec, [0, 1, 2], ("blocked", 3))
+    arr = SuccinctArray.build(spec, [0, 1, 2], ("blocked", 3))
     assert arr.payload_bits == 5
     assert arr.payload.read(0, 5) == 5
     assert arr.values() == [0, 1, 2]
@@ -180,9 +179,9 @@ def test_spill_tree_exhaustive_small():
     for a in range(5):
         for b in range(7):
             for c in range(11):
-                arr = sa_build(spec, [a, b, c], ("spill_tree", 4))
+                arr = SuccinctArray.build(spec, [a, b, c], ("spill_tree", 4))
                 assert arr.values() == [a, b, c]
-    arr = sa_build(spec, [4, 6, 10], ("spill_tree", 4))
+    arr = SuccinctArray.build(spec, [4, 6, 10], ("spill_tree", 4))
     assert arr.get(1) == 6
 
 
@@ -190,7 +189,7 @@ def test_spill_tree_formula_1024_radix3():
     rng = random.Random(11)
     spec = RadixSpec((3,) * 1024)
     values = [rng.randrange(3) for _ in range(1024)]
-    arr = sa_build(spec, values, ("spill_tree", 2**20))
+    arr = SuccinctArray.build(spec, values, ("spill_tree", 2**20))
     assert arr.values() == values
     assert arr.payload_bits + arr.spill_bits <= 1624 + 44
     assert spec.info_bits() == 1624
@@ -206,7 +205,7 @@ def test_roundtrip_random_specs(strategy, seed):
     choices = [1, 2, 3, 5, 8, 64, 2**25, 2**256]
     spec = RadixSpec(tuple(rng.choice(choices) for _ in range(t)))
     values = [rng.randrange(m) for m in spec.radices]
-    arr = sa_build(spec, values, strategy)
+    arr = SuccinctArray.build(spec, values, strategy)
     assert arr.values() == values
     # space formulas hold bit-exactly per strategy
     name, param = arr.strategy
@@ -234,7 +233,7 @@ def test_spill_redundancy_growth():
     for t in [64, 128, 256, 512, 1024, 2048]:
         spec = RadixSpec((3,) * t)
         values = [rng.randrange(3) for _ in range(t)]
-        arr = sa_build(spec, values, "spill_tree")
+        arr = SuccinctArray.build(spec, values, "spill_tree")
         red = arr.payload_bits + arr.header_bits - spec.info_bits()
         assert red <= 4 * math.log2(t) + 64
         data_red = arr.data_bits - spec.info_bits()
@@ -246,7 +245,7 @@ def test_spill_redundancy_growth():
 def test_blocked_probe_count():
     spec = RadixSpec((2**25,) * 64)
     values = list(range(64))
-    arr = sa_build(spec, values, "blocked")
+    arr = SuccinctArray.build(spec, values, "blocked")
     for i in range(64):
         probes = set()
         assert arr.get(i, probes) == i
@@ -258,7 +257,7 @@ def test_spill_probe_count():
     spec = RadixSpec((3,) * t)
     rng = random.Random(2)
     values = [rng.randrange(3) for _ in range(t)]
-    arr = sa_build(spec, values, "spill_tree")
+    arr = SuccinctArray.build(spec, values, "spill_tree")
     for i in rng.sample(range(t), 50):
         probes = set()
         assert arr.get(i, probes) == values[i]
@@ -311,7 +310,7 @@ def test_append_matches_batch_blocked():
     rng = random.Random(4)
     radices = tuple(rng.randrange(2, 40) for _ in range(57))
     values = [rng.randrange(m) for m in radices]
-    batch = sa_build(RadixSpec(radices), values, ("blocked", 8))
+    batch = SuccinctArray.build(RadixSpec(radices), values, ("blocked", 8))
     online = AppendableArray(lambda i: radices[i], ("blocked", 8))
     for v in values:
         online.append(v)
@@ -323,7 +322,7 @@ def test_serialization_roundtrip(strategy):
     rng = random.Random(13)
     spec = RadixSpec(tuple(rng.randrange(1, 1000) for _ in range(41)))
     values = [rng.randrange(m) for m in spec.radices]
-    arr = sa_build(spec, values, strategy)
+    arr = SuccinctArray.build(spec, values, strategy)
     back = SuccinctArray.from_bytes(arr.to_bytes())
     assert back.values() == values
     assert back == arr
@@ -331,13 +330,13 @@ def test_serialization_roundtrip(strategy):
 
 def test_get_zero_store(c3=None):
     spec = RadixSpec((1, 1, 1))
-    arr = sa_build(spec, [0, 0, 0], "packed")
+    arr = SuccinctArray.build(spec, [0, 0, 0], "packed")
     assert arr.get(0) == 0
     assert arr.payload_bits == 0
 
 
 def test_spill_tree_single_position():
-    arr = sa_build(RadixSpec((1000,)), [777], "spill_tree")
+    arr = SuccinctArray.build(RadixSpec((1000,)), [777], "spill_tree")
     assert arr.payload_bits == 0
     assert arr.spill_bits == 10
     assert arr.get(0) == 777
@@ -354,7 +353,7 @@ def test_roundtrip_full_scale_t2048():
     values = [rng.randrange(m) for m in radices]
     spec = RadixSpec(radices)
     for strategy in ("packed", "blocked", "spill_tree"):
-        arr = sa_build(spec, values, strategy)
+        arr = SuccinctArray.build(spec, values, strategy)
         for i in rng.sample(range(2048), 100):
             assert arr.get(i) == values[i]
         if strategy == "spill_tree":
@@ -373,7 +372,7 @@ def test_packed_append_mixed_radices():
 
 def test_empty_array_roundtrip():
     for strategy in ("packed", "blocked"):
-        arr = sa_build(RadixSpec(()), [], strategy)
+        arr = SuccinctArray.build(RadixSpec(()), [], strategy)
         assert arr.payload_bits == 0
         back = SuccinctArray.from_bytes(arr.to_bytes())
         assert back.spec.t == 0

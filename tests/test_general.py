@@ -1,17 +1,17 @@
 import math
 import random
+import time
 
 import pytest
 
 from conftest import enumerate_walks, four_vertex_aperiodic, two_scc_dag
-from walkstore.errors import ParameterError, RangeError
-from walkstore.fileio import Cursor
+from walkstore.errors import FormatError, ParameterError, RangeError
+from walkstore.fileio import Cursor, write_varbig, write_varint
 from walkstore.general import (
     BundleTable,
     GeneralStore,
     PeriodicStore,
     SccStore,
-    build_bundle_table,
     build_general,
     build_general_core,
     choose_half_block,
@@ -31,7 +31,7 @@ from walkstore.graph import (
 
 
 def test_bundle_table_fib_example(fib):
-    table = build_bundle_table(fib, 4, 3)
+    table = BundleTable(fib, 4, 3)
     assert table.groups_out == [10, 6]
     # slices of the three codes from 0 to 0
     slices = [table.slice_of(K, 0, 0, "out") for K in (1, 2, 3)]
@@ -42,7 +42,7 @@ def test_bundle_table_fib_example(fib):
 
 
 def test_bundle_slice_example_k(fib):
-    table = build_bundle_table(fib, 4, 3)
+    table = BundleTable(fib, 4, 3)
     assert table.slice_of(2, 0, 0, "out") == (4, 1)
 
 
@@ -55,7 +55,7 @@ def test_single_group_is_identity():
 
 
 def test_regular_graph_groups_equal(c3):
-    table = build_bundle_table(c3, 32, 4)
+    table = BundleTable(c3, 32, 4)
     assert len(set(table.groups_out)) == 1
     assert len(set(table.groups_in)) == 1
 
@@ -341,3 +341,28 @@ def test_out_of_range(fib):
     store = build_general(fib, w)
     with pytest.raises(RangeError):
         store.vertex_at(51)
+
+
+def _crafted_core_body(store, n, half_len):
+    out = bytearray([1])
+    write_varint(out, n)
+    out.append(store.branching)
+    write_varint(out, half_len)
+    write_varint(out, store.tail_len)
+    write_varbig(out, store.tail_code)
+    return bytes(out) + store.bundles.to_bytes() + store.triples.to_bytes()
+
+
+@pytest.mark.parametrize(
+    "n, half_len",
+    [(2**40, 2**23), (2**40, 64 * 40 + 1), (2**12, 2**10 + 1), (2**40, 2000)],
+    ids=["huge_half", "above_scan_cap", "above_quarter", "array_lengths"],
+)
+def test_from_body_rejects_crafted_half_block(fib, n, half_len):
+    store = build_general_core(fib, gen_walk(fib, 2**12, seed=11))
+    body = _crafted_core_body(store, 2**12, store.half_len)
+    assert GeneralStore.from_body(Cursor(body), fib).body_bytes() == body
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        GeneralStore.from_body(Cursor(_crafted_core_body(store, n, half_len)), fib)
+    assert time.perf_counter() - start < 1.0

@@ -3,22 +3,27 @@ import math
 import pytest
 
 from conftest import enumerate_walks, small_corpus, two_scc_dag, random_digraph
+from walkstore.config import MAX_WALK_LENGTH
 from walkstore.errors import (
     GenerationError,
     InvalidWalkError,
+    RangeError,
+    ResourceError,
     UnsupportedGraphError,
 )
 from walkstore.graph import (
+    CountTable,
     Graph,
     Walk,
     analyze,
     benchmark_pointwise_bits,
     benchmark_worstcase_bits,
+    complete,
     count_walks,
     directed_cycle,
+    fibonacci_digraph,
     gen_walk,
     log2_int,
-    spectral,
     total_walks,
 )
 
@@ -59,8 +64,6 @@ def test_total_walks_is_matrix_sum(k4):
 
 
 def test_count_length_resource_guard(fib):
-    from walkstore.errors import ResourceError
-
     with pytest.raises(ResourceError):
         fib.counts().power(2**24 + 1)
 
@@ -77,6 +80,60 @@ def test_large_power_consistency(fib):
         for x in range(k)
     ]
     assert [list(r) for r in big] == expect
+
+
+def _recurrence_corpus():
+    graphs = [
+        complete(4),
+        fibonacci_digraph(),
+        directed_cycle(5),
+        Graph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 4)]),  # bipartite
+        Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], directed=True),  # nilpotent
+        Graph(1, [], directed=True),
+        Graph(1, [(0, 0)], directed=True),
+        two_scc_dag(),  # reducible
+    ]
+    graphs.extend(random_digraph(k, seed) for k in range(2, 9) for seed in (1, 2))
+    return graphs
+
+
+@pytest.mark.parametrize("g", _recurrence_corpus(), ids=repr)
+def test_recurrence_totals_match_matrix_powers(g):
+    rec = CountTable(g, memo_limit=0)
+    dense = CountTable(g, memo_limit=10**9)
+    small = CountTable(g, memo_limit=16)
+    for l in list(range(101)) + [17, 16, 15, 33, 32]:
+        assert rec.total(l) == dense.total(l) == small.total(l), l
+        for x in range(g.k):
+            assert rec.row_total(x, l) == dense.row_total(x, l) == small.row_total(x, l)
+    assert not rec._pow2 and not small._pow2
+
+
+def test_recurrence_total_beyond_memo(fib):
+    big = CountTable(fib, memo_limit=0).power(6000)
+    assert CountTable(fib, memo_limit=0).total(6000) == sum(sum(row) for row in big)
+    assert fib.counts().total(6000) == sum(sum(row) for row in big)
+
+
+def test_recurrence_of_regular_graph_has_order_one(k4):
+    ct = CountTable(k4, memo_limit=0)
+    assert ct.total(5) == 4 * 3**5
+    assert ct._recurrence == ([3], [(1, 1, 1, 1)])
+
+
+def test_recurrence_length_guards(fib):
+    ct = CountTable(fib, memo_limit=0)
+    for call in (ct.total, lambda l: ct.row_total(0, l)):
+        with pytest.raises(RangeError):
+            call(-1)
+        with pytest.raises(ResourceError):
+            call(MAX_WALK_LENGTH + 1)
+
+
+def test_worstcase_bits_without_matrix_squares(k4):
+    expect = 2 + 10**6 * math.log2(3)
+    assert benchmark_worstcase_bits(k4, 10**6) == pytest.approx(expect, rel=1e-9)
+    assert k4.counts()._pow2 == {}
 
 
 def test_analyze_directed_two_cycle():
@@ -204,29 +261,6 @@ def test_gen_walk_uniform_frequencies(c3):
     sigma = math.sqrt(24000 * (1 / 24) * (23 / 24))
     for w, c in counts.items():
         assert abs(c - mean) <= 3 * sigma, (w, c)
-
-
-def test_spectral(c3, k4, fib):
-    s4 = spectral(k4)
-    assert s4.leading == pytest.approx(3.0, abs=1e-9)
-    assert all(abs(p - 0.25) < 1e-9 for p in s4.left)
-    assert all(abs(p - 0.25) < 1e-9 for p in s4.right)
-    assert spectral(c3).leading == pytest.approx(2.0, abs=1e-9)
-    assert spectral(fib).leading == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-9)
-
-
-def test_spectral_stationary(fib):
-    s = spectral(fib)
-    nu = s.stationary
-    deg = fib.out_deg
-    for v in range(fib.k):
-        inflow = sum(nu[u] / deg[u] for u in fib.predecessors(v))
-        assert inflow == pytest.approx(nu[v], abs=1e-9)
-
-
-def test_spectral_requires_strong_connectivity():
-    with pytest.raises(UnsupportedGraphError):
-        spectral(Graph(2, [(0, 1)], directed=True))
 
 
 def test_vertex_cap(monkeypatch):

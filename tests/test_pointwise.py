@@ -253,3 +253,12 @@ def test_from_body_accepts_crafted_header(fib):
 def test_from_body_rejects_bad_header(fib, fields):
     with pytest.raises(FormatError):
         PointwiseStore.from_body(Cursor(_body(**fields)), fib)
+
+
+def test_endpoints_above_u8_refuse_to_save(monkeypatch):
+    monkeypatch.setenv("WALKSTORE_MAX_VERTICES", "300")
+    g = directed_cycle(300)
+    store = build_pointwise(g, Walk(g, (299, 0, 1)))
+    assert [store.vertex_at(q) for q in range(3)] == [299, 0, 1]
+    with pytest.raises(FormatError, match="255"):
+        store.body_bytes()

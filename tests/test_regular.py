@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 
-from walkstore.errors import InvalidWalkError, RangeError, UnsupportedGraphError
-from walkstore.graph import Graph, gen_walk
+from walkstore.errors import FormatError, InvalidWalkError, RangeError, UnsupportedGraphError
+from walkstore.fileio import Cursor, write_varint
+from walkstore.graph import Graph, complete, gen_walk
 from walkstore.regular import (
     RegularStore,
     RegularStoreBuilder,
@@ -198,8 +200,6 @@ def test_online_plain_mode(c3):
 
 
 def test_serialization_roundtrip(k4):
-    from walkstore.fileio import Cursor
-
     w = gen_walk(k4, 300, seed=6)
     store = build_regular(k4, w)
     blob = store.body_bytes()
@@ -207,3 +207,32 @@ def test_serialization_roundtrip(k4):
     for i in range(0, 301, 7):
         assert back.vertex_at(i) == w.verts[i]
     assert back.payload_bits == store.payload_bits
+
+
+def _crafted_body(n, l, arrays=b""):
+    out = bytearray([1])
+    write_varint(out, n)
+    out.append(2)
+    write_varint(out, l)
+    return bytes(out) + arrays
+
+
+@pytest.mark.parametrize("l", [2**39, 64 * 40 + 1], ids=["half_n", "above_scan_cap"])
+def test_from_body_rejects_block_length_beyond_scan_cap(k4, l):
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        RegularStore.from_body(Cursor(_crafted_body(2**40, l)), k4)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_from_body_checks_array_lengths_before_layout(k4):
+    store = build_regular(k4, gen_walk(k4, 300, seed=6))
+    arrays = store.milestones.to_bytes() + store.blocks.to_bytes()
+    assert RegularStore.from_body(Cursor(_crafted_body(300, store.layout.l, arrays)), k4)
+    # on K64 the layout of l = 2560 needs the 1536th power of a 64 x 64
+    # matrix; the short arrays must be refused before it is computed
+    k64 = complete(64)
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        RegularStore.from_body(Cursor(_crafted_body(2**40, 64 * 40, arrays)), k64)
+    assert time.perf_counter() - start < 1.0
