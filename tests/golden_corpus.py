@@ -59,6 +59,8 @@ CASES = {
     "scc": dict(graph="two_scc", n=200, seed=4, mode="general", strategy="spill_tree"),
     "pointwise": dict(graph="fib", n=256, seed=5, mode="pointwise", strategy=None),
     "dictionary": dict(graph=None, n=96, seed=6, mode="dictionary", strategy=None),
+    "regular_plain": dict(graph="k4", n=5, seed=1, mode="regular", strategy="blocked"),
+    "general_plain": dict(graph="fib", n=30, seed=2, mode="general", strategy=None),
 }
 
 
