@@ -33,7 +33,7 @@ from .graph import (
     triangle,
 )
 from .report import build_report
-from .storefile import build_store, load_store, mode_of, store_to_bytes
+from .storefile import build_store, load_store, store_to_bytes
 
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
@@ -64,7 +64,7 @@ def cmd_encode(args) -> int:
     blob = store_to_bytes(store)
     with open(args.out, "wb") as fh:
         fh.write(blob)
-    report = build_report(store, mode_of(store), walk=walk,
+    report = build_report(store, store.MODE, walk=walk,
                           build_seconds=build_seconds, file_bytes=len(blob))
     print(report.to_json())
     return 0
@@ -127,7 +127,7 @@ def cmd_stats(args) -> int:
             )
         )
         return 0
-    report = build_report(store, mode_of(store),
+    report = build_report(store, store.MODE,
                           file_bytes=os.path.getsize(args.store),
                           with_throughput=args.throughput)
     print(report.to_json())
@@ -226,7 +226,7 @@ def cmd_bench(args) -> int:
                         build_seconds = time.perf_counter() - start
                     except (UnsupportedGraphError, ParameterError):
                         continue
-                    rep = build_report(store, mode_of(store), walk=walk,
+                    rep = build_report(store, store.MODE, walk=walk,
                                        build_seconds=build_seconds,
                                        with_throughput=True)
                     rows.append(

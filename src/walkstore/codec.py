@@ -34,39 +34,6 @@ def predecessor_monotone(prefix_sums: Sequence[int], key: int) -> int:
     return bisect.bisect_left(prefix_sums, key)
 
 
-class MonotonePredecessor:
-    """Bucket search tuned for non-decreasing gaps.
-
-    A sampled jump table narrows the candidate range before a local binary
-    search; with sorted gaps the expected number of probes stays small.  The
-    answers always match ``predecessor_monotone``; the probe count is
-    measured, not proven.
-    """
-
-    def __init__(self, prefix_sums: Sequence[int]):
-        if not prefix_sums:
-            raise RangeError("empty prefix sums")
-        self.prefix_sums = list(prefix_sums)
-        total = self.prefix_sums[-1]
-        m = len(self.prefix_sums)
-        self.cell = max(1, total // m)
-        self.table = [
-            bisect.bisect_left(self.prefix_sums, c * self.cell + 1) for c in range(m + 1)
-        ]
-        self.probes = 0
-
-    def query(self, key: int) -> int:
-        if key < 1 or key > self.prefix_sums[-1]:
-            raise RangeError(f"key {key} outside [1,{self.prefix_sums[-1]}]")
-        m = len(self.prefix_sums)
-        c_true = (key - 1) // self.cell
-        c = min(c_true, m - 1)
-        lo = self.table[c]
-        hi = min(self.table[c + 1] + 1, m) if c == c_true and c + 1 <= m else m
-        self.probes += 2 + max(1, (hi - lo).bit_length())
-        return bisect.bisect_left(self.prefix_sums, key, lo, hi)
-
-
 @dataclass(frozen=True)
 class WalkCode:
     """Rank of a fixed-endpoint walk: 1 <= value <= N_l(x, y)."""
@@ -94,9 +61,7 @@ class CodecTables:
     """Graph-derived ranking tables; immutable once built, safe to share.
 
     Directories are deterministic functions of (graph, branching) and are
-    never serialized alongside walk data.  ``leaf_table_max`` optionally
-    memoizes full enumerations for segments up to that length, trading
-    lookup-table space for recursion depth.
+    never serialized alongside walk data.
     """
 
     def __init__(
@@ -104,18 +69,14 @@ class CodecTables:
         graph: Graph,
         branching: int = 2,
         count_table: CountTable | None = None,
-        leaf_table_max: int = 0,
     ):
         if branching < 2:
             raise ParameterError("branching must be >= 2")
         self.graph = graph
         self.branching = branching
         self.counts = count_table if count_table is not None else graph.counts()
-        self.leaf_table_max = leaf_table_max
         self._dirs = {}
         self._bounds = {}
-        self._leaf_decode = {}
-        self._leaf_encode = {}
 
     def segment_bounds(self, l: int):
         """Split positions 0 = b_0 <= ... <= b_B = l with b_i = floor(i*l/B)."""
@@ -181,28 +142,13 @@ class CodecTables:
         self._dirs[key] = directory
         return directory
 
-    def _leaf_table(self, x: int, y: int, l: int):
-        key = (x, y, l)
-        if key not in self._leaf_decode:
-            total = self.walk_count(x, y, l)
-            table = [None] * total
-            for verts in _enumerate_walks(self.graph, x, y, l):
-                code = self._encode(verts, 0, l, use_leaf=False)
-                table[code - 1] = verts
-            self._leaf_decode[key] = table
-            self._leaf_encode[key] = {w: i + 1 for i, w in enumerate(table)}
-        return self._leaf_decode[key], self._leaf_encode[key]
-
     # -- encoding ------------------------------------------------------------
 
-    def _encode(self, verts, lo: int, hi: int, use_leaf: bool = True) -> int:
+    def _encode(self, verts, lo: int, hi: int) -> int:
         l = hi - lo
         if l <= 1:
             return 1
         x, y = verts[lo], verts[hi]
-        if use_leaf and l <= self.leaf_table_max:
-            _, enc = self._leaf_table(x, y, l)
-            return enc[tuple(verts[lo : hi + 1])]
         bounds = self.segment_bounds(l)
         tup = tuple(verts[lo + b] for b in bounds[1:-1])
         directory = self.directory(x, y, l)
@@ -212,22 +158,19 @@ class CodecTables:
         counts = directory.seg_counts[z]
         rank = 0
         for i in range(self.branching):
-            k_i = self._encode(verts, lo + bounds[i], lo + bounds[i + 1], use_leaf)
+            k_i = self._encode(verts, lo + bounds[i], lo + bounds[i + 1])
             rank = rank * counts[i] + (k_i - 1)
         base = directory.prefix[z - 1] if z else 0
         return base + rank + 1
 
     # -- decoding ------------------------------------------------------------
 
-    def _decode_vertex(self, x, y, l, code, q, depth_box, use_leaf=True) -> int:
+    def _decode_vertex(self, x, y, l, code, q, depth_box) -> int:
         if q == 0:
             return x
         if q == l:
             return y
         depth_box[0] += 1
-        if use_leaf and l <= self.leaf_table_max:
-            dec, _ = self._leaf_table(x, y, l)
-            return dec[code - 1][q]
         directory = self.directory(x, y, l)
         z = predecessor_monotone(directory.prefix, code)
         rest = code - (directory.prefix[z - 1] if z else 0) - 1
@@ -242,18 +185,14 @@ class CodecTables:
         ends = (x, *tup, y)
         return self._decode_vertex(
             ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i, q - bounds[i],
-            depth_box, use_leaf,
+            depth_box,
         )
 
-    def _decode_full(self, x, y, l, code, out, use_leaf=True) -> None:
+    def _decode_full(self, x, y, l, code, out) -> None:
         if l == 0:
             return
         if l == 1:
             out.append(y)
-            return
-        if use_leaf and l <= self.leaf_table_max:
-            dec, _ = self._leaf_table(x, y, l)
-            out.extend(dec[code - 1][1:])
             return
         directory = self.directory(x, y, l)
         z = predecessor_monotone(directory.prefix, code)
@@ -264,20 +203,7 @@ class CodecTables:
         ends = (x, *tup, y)
         for i in range(self.branching):
             k_i = (rest // directory.suffix[z][i]) % counts[i] + 1
-            self._decode_full(ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i, out, use_leaf)
-
-
-def _enumerate_walks(g: Graph, x: int, y: int | None, l: int):
-    """Brute-force generator of walks (as vertex tuples) for small l."""
-    stack = [(x,)]
-    while stack:
-        verts = stack.pop()
-        if len(verts) == l + 1:
-            if y is None or verts[-1] == y:
-                yield verts
-            continue
-        for z in g.successors(verts[-1]):
-            stack.append(verts + (z,))
+            self._decode_full(ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i, out)
 
 
 def _check_segment(tables: CodecTables, verts: Sequence[int]) -> None:

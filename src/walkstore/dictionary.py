@@ -15,7 +15,7 @@ pins the symbol).
 from __future__ import annotations
 
 from .errors import FormatError, ParameterError, RangeError
-from .fileio import Cursor, write_bytes, write_varint
+from .fileio import Cursor, decode_text, write_bytes, write_varint
 from .graph import Graph, Walk
 from .pointwise import LabelCounts, PointwiseStore, build_pointwise
 
@@ -200,7 +200,7 @@ class SuccinctDictionary:
         count = cur.varint()
         symbols, lens = [], []
         for _ in range(count):
-            symbols.append(cur.blob().decode("utf-8"))
+            symbols.append(decode_text(cur.blob(), "dictionary symbol"))
             lens.append(cur.u8())
         length = cur.varint()
         hg = HuffmanGraph(DyadicDist(symbols, lens))

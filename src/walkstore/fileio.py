@@ -26,6 +26,11 @@ def write_varint(out: bytearray, value: int) -> None:
             return
 
 
+def varint_len(value: int) -> int:
+    """Bytes that write_varint spends on value."""
+    return max(1, -(-value.bit_length() // 7))
+
+
 def write_varbig(out: bytearray, value: int) -> None:
     if value < 0:
         raise FormatError("varbig must be non-negative")
@@ -107,13 +112,20 @@ def graph_from_json(text: str) -> Graph:
     return Graph(k, edges, directed=directed)
 
 
-def read_text(path: str) -> str:
-    """The file's contents as UTF-8 text; FormatError when it is not UTF-8."""
+def decode_text(raw: bytes, what: str) -> str:
+    """raw as UTF-8 text; FormatError naming ``what`` when it is not UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise FormatError(f"{what} is not UTF-8 text: {exc}") from exc
+
+
+def read_text(path: str) -> str:
+    """The file's contents as UTF-8 text with universal newlines, as
+    ``open(path, encoding="utf-8").read()`` gives them."""
+    with open(path, "rb") as fh:
+        text = decode_text(fh.read(), path)
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_graph(path: str) -> Graph:

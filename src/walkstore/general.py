@@ -29,10 +29,9 @@ from .errors import (
     RangeError,
     UnsupportedGraphError,
 )
-from .fileio import Cursor, write_varbig, write_varint
+from .fileio import Cursor, varint_len, write_varbig, write_varint
 from .graph import CountTable, Graph, Walk, analyze, ceil_log2
-
-MAGIC = b"RWG1"
+from .store import WalkStore, pack_vertices
 
 
 def _cdiv(a: int, b: int) -> int:
@@ -313,8 +312,12 @@ def tail_max_rank(counts: CountTable, length: int) -> int:
 # Core store (strongly connected aperiodic)
 
 
-class GeneralStore:
+class GeneralStore(WalkStore):
     """Bundled store over a strongly connected aperiodic digraph."""
+
+    MAGIC = b"RWG1"
+    TAG = 0
+    MODE = "general"
 
     def __init__(self, graph, n, branching, strategy, half_len=None,
                  bundles=None, triples=None, tail_len=0, tail_code=0,
@@ -331,10 +334,6 @@ class GeneralStore:
         self.plain = plain
         self.table = table
         self.tables = tables or CodecTables(graph, branching=branching)
-
-    @property
-    def is_plain(self) -> bool:
-        return self.plain is not None
 
     @property
     def block_count(self) -> int:
@@ -386,9 +385,6 @@ class GeneralStore:
         wc = WalkCode(code, mid, there.vertex, L)
         return decode_vertex(self.tables, wc, offset - L)
 
-    def decode_walk(self) -> Walk:
-        return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
-
     # -- accounting -------------------------------------------------------------
 
     @property
@@ -403,23 +399,13 @@ class GeneralStore:
 
     @property
     def header_bits(self) -> int:
-        if self.plain is not None:
-            return 8 * (_vlen(self.n) + 2) + self.plain.header_bits
-        return (
-            8 * (_vlen(self.n) + _vlen(self.half_len) + _vlen(self.tail_len) + 2)
-            + self.bundles.header_bits
-            + self.triples.header_bits
-        )
+        return self._head_bits((self.half_len, self.tail_len), (self.bundles, self.triples))
 
     # -- serialization ------------------------------------------------------------
 
     def body_bytes(self) -> bytes:
-        out = bytearray()
-        out.append(0 if self.plain is not None else 1)
-        write_varint(out, self.n)
-        out.append(self.branching)
+        out = self._body_head()
         if self.plain is not None:
-            out.extend(self.plain.to_bytes())
             return bytes(out)
         write_varint(out, self.half_len)
         write_varint(out, self.tail_len)
@@ -430,12 +416,9 @@ class GeneralStore:
 
     @classmethod
     def from_body(cls, cur: Cursor, graph: Graph) -> "GeneralStore":
-        mode = cur.u8()
-        n = cur.varint()
-        branching = cur.u8()
-        if mode == 0:
-            plain = SuccinctArray.read_from(cur)
-            return cls(graph, n, branching, plain.strategy, plain=plain)
+        n, branching, plain = cls._read_head(cur, graph)
+        if plain is not None:
+            return plain
         half_len = cur.varint()
         tail_len = cur.varint()
         tail_code = cur.varbig()
@@ -456,20 +439,8 @@ class GeneralStore:
                    tail_code=tail_code, table=table)
 
 
-def _vlen(v: int) -> int:
-    out = bytearray()
-    write_varint(out, v)
-    return len(out)
-
-
 def _bundle_spec(table: BundleTable, m: int) -> RadixSpec:
     return RadixSpec.from_runs([(table.sum_out, 1), (table.sum_pair, m - 1), (table.sum_in, 1)])
-
-
-def _build_plain_general(g: Graph, w: Walk, branching=2) -> GeneralStore:
-    spec = RadixSpec.uniform_spec(g.k, w.length + 1)
-    arr = SuccinctArray.build(spec, list(w.verts), "packed")
-    return GeneralStore(g, w.length, branching, ("packed", None), plain=arr)
 
 
 def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) -> GeneralStore:
@@ -483,7 +454,7 @@ def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) ->
     n = w.length
     half = choose_half_block(g, n) if n >= 4 else None
     if half is None or n < 4 * half:
-        return _build_plain_general(g, w, branching)
+        return GeneralStore.build_plain(g, w, branching)
     table = BundleTable(g, n, half)
     tables = CodecTables(g, branching=branching)
     m = n // (2 * half)
@@ -584,9 +555,13 @@ class ProductGraph:
         self.graph = Graph(len(tuples), edges, directed=True)
 
 
-class PeriodicStore:
+class PeriodicStore(WalkStore):
     """General store for periodic strongly connected graphs: plain prefix
     and suffix of length < p, middle stored over the product graph."""
+
+    MAGIC = GeneralStore.MAGIC
+    TAG = 1
+    MODE = "general"
 
     def __init__(self, graph, n, period, prefix, suffix, inner, product=None):
         self.graph = graph
@@ -615,9 +590,6 @@ class PeriodicStore:
         j, r = divmod(q - self.start, self.period)
         return self.product.tuples[self.inner.vertex_at(j, probes)][r]
 
-    def decode_walk(self) -> Walk:
-        return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
-
     @property
     def payload_bits(self) -> int:
         inner = self.inner.payload_bits if self.inner else 0
@@ -627,7 +599,7 @@ class PeriodicStore:
     def header_bits(self) -> int:
         inner = self.inner.header_bits if self.inner else 0
         return (
-            8 * (_vlen(self.n) + _vlen(self.period))
+            8 * (varint_len(self.n) + varint_len(self.period))
             + self.prefix.header_bits + self.suffix.header_bits + inner
         )
 
@@ -665,13 +637,13 @@ def wrap_periodic(g: Graph, w: Walk, strategy="spill_tree", branching=2):
         return build_general_core(g, w, strategy, branching)
     period = info.period[0]
     if period == 0:  # single vertex, no self-loop: the walk is one vertex
-        return _build_plain_general(g, w, branching)
+        return GeneralStore.build_plain(g, w, branching)
     product = ProductGraph(g, period)
     n = w.length
     start = (period - product.layer[w.verts[0]]) % period
     blocks = (n - start) // period if n >= start else 0
     if blocks < 1:
-        return _build_plain_general(g, w, branching)
+        return GeneralStore.build_plain(g, w, branching)
     mid_end = start + blocks * period
     inner_walk = Walk(
         product.graph,
@@ -681,14 +653,8 @@ def wrap_periodic(g: Graph, w: Walk, strategy="spill_tree", branching=2):
         ],
     )
     inner = build_general_core(product.graph, inner_walk, strategy, branching)
-    k = g.k
-    prefix = SuccinctArray.build(
-        RadixSpec.uniform_spec(k, start), list(w.verts[:start]), "packed"
-    )
-    suffix_verts = list(w.verts[mid_end:])
-    suffix = SuccinctArray.build(
-        RadixSpec.uniform_spec(k, len(suffix_verts)), suffix_verts, "packed"
-    )
+    prefix = pack_vertices(g.k, w.verts[:start])
+    suffix = pack_vertices(g.k, w.verts[mid_end:])
     return PeriodicStore(g, n, period, prefix, suffix, inner, product)
 
 
@@ -696,9 +662,17 @@ def wrap_periodic(g: Graph, w: Walk, strategy="spill_tree", branching=2):
 # SCC wrapper: arbitrary directed graphs
 
 
-class SccStore:
+# An SCC segment is either kind the periodic wrapper returns.
+_SEGMENT_CLASSES = {cls.TAG: cls for cls in (GeneralStore, PeriodicStore)}
+
+
+class SccStore(WalkStore):
     """Splits the walk at SCC switches; per-SCC segments go through the
     periodic wrapper on the induced subgraph, switch positions are plain."""
+
+    MAGIC = GeneralStore.MAGIC
+    TAG = 2
+    MODE = "general"
 
     def __init__(self, graph, n, starts, scc_ids, segments, scc_list):
         self.graph = graph
@@ -719,16 +693,13 @@ class SccStore:
         local = self.segments[seg].vertex_at(q - self.starts[seg], probes)
         return self.scc_list[self.scc_ids[seg]][local]
 
-    def decode_walk(self) -> Walk:
-        return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
-
     @property
     def payload_bits(self) -> int:
         return sum(s.payload_bits for s in self.segments)
 
     @property
     def header_bits(self) -> int:
-        switch_bits = 8 * sum(_vlen(s) for s in self.starts)
+        switch_bits = 8 * sum(varint_len(s) for s in self.starts)
         return switch_bits + sum(s.header_bits for s in self.segments)
 
     def body_bytes(self) -> bytes:
@@ -738,7 +709,7 @@ class SccStore:
         for start, scc_id, seg in zip(self.starts, self.scc_ids, self.segments):
             write_varint(out, start)
             write_varint(out, scc_id)
-            out.append(0 if isinstance(seg, GeneralStore) else 1)
+            out.append(seg.TAG)
             out.extend(seg.body_bytes())
         return bytes(out)
 
@@ -746,18 +717,25 @@ class SccStore:
     def from_body(cls, cur: Cursor, graph: Graph) -> "SccStore":
         n = cur.varint()
         count = cur.varint()
-        info = analyze(graph)
-        scc_list = info.scc_list
+        if count < 1:
+            raise FormatError("SCC store without segments")
+        scc_list = analyze(graph).scc_list
         starts, scc_ids, segments = [], [], []
         for _ in range(count):
-            starts.append(cur.varint())
+            start = cur.varint()
+            # starts run 0 = s_0 < s_1 < ... <= n, or a query lands nowhere
+            if start > n or (start <= starts[-1] if starts else start != 0):
+                raise FormatError(f"segment start {start} out of order (walk length {n})")
+            starts.append(start)
             scc_id = cur.varint()
+            if scc_id >= len(scc_list):
+                raise FormatError(f"SCC id {scc_id} beyond the graph's {len(scc_list)} SCCs")
             scc_ids.append(scc_id)
+            tag = cur.u8()
+            if tag not in _SEGMENT_CLASSES:
+                raise FormatError(f"unknown SCC segment tag {tag}")
             sub = _induced_subgraph(graph, scc_list[scc_id])
-            if cur.u8() == 0:
-                segments.append(GeneralStore.from_body(cur, sub))
-            else:
-                segments.append(PeriodicStore.from_body(cur, sub))
+            segments.append(_SEGMENT_CLASSES[tag].from_body(cur, sub))
         return cls(graph, n, starts, scc_ids, segments, scc_list)
 
 

@@ -35,13 +35,12 @@ from dataclasses import dataclass
 from .errors import FormatError, InvalidWalkError, ParameterError, RangeError
 from .fileio import Cursor, write_varbig, write_varint
 from .graph import Graph, Walk, ceil_log2
+from .store import WalkStore
 
 try:
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover - gmpy2 is the optional 'fast' extra
     _mpz = int
-
-MAGIC = b"RWP1"
 
 # Plain dict convolution below this many coefficient pairs.
 _KRONECKER_CUTOFF = 1024
@@ -248,8 +247,11 @@ def _resolve_node(engine: LabelCounts, size, x, y, total, rank):
 # Store
 
 
-class PointwiseStore:
+class PointwiseStore(WalkStore):
     """Entropy-ranked walk store; query time O(lg n) tree levels."""
+
+    MAGIC = b"RWP1"
+    MODE = "pointwise"
 
     def __init__(self, graph, n, precision, branching, first, last, cost, rank0,
                  engine=None):
@@ -302,9 +304,6 @@ class PointwiseStore:
             else:
                 lo, q, size, x, total, rank = lo + a, q - a, size - a, w, s_right, rank_right
         return x
-
-    def decode_walk(self) -> Walk:
-        return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
 
     def body_bytes(self) -> bytes:
         if max(self.first, self.last) > 255:

@@ -24,22 +24,24 @@ from .errors import (
 )
 from .fileio import Cursor, write_varint
 from .graph import Graph, Walk, analyze
+from .store import WalkStore
 
-MAGIC = b"RWR1"
 
-
-def _require_regular(g: Graph):
+def unsuitable_reason(g: Graph) -> str | None:
+    """Why the regular store cannot hold walks on g, or None when it can:
+    g must be regular and strongly connected, and aperiodic if directed or
+    non-bipartite (unless a single vertex) if undirected."""
     info = analyze(g)
     if not info.is_regular:
-        raise UnsupportedGraphError("graph is not regular")
+        return "graph is not regular"
     if not info.is_strongly_connected:
-        raise UnsupportedGraphError("graph is not connected")
+        return "graph is not connected"
     if g.directed:
         if not info.is_aperiodic:
-            raise UnsupportedGraphError("directed regular graph must be aperiodic")
+            return "directed regular graph must be aperiodic"
     elif info.is_bipartite and g.k > 1:
-        raise UnsupportedGraphError("bipartite graph; use the general store")
-    return info.degree
+        return "bipartite graph; use the general store"
+    return None
 
 
 def _scan_cap(n: int) -> int:
@@ -57,10 +59,13 @@ def choose_l(g: Graph, n: int) -> int | None:
     max_xy N_l(x,y) <= (1/|G| + 1/n^2) d^l runs on cross-multiplied
     integers, never floats.
     """
-    d = _require_regular(g)
+    reason = unsuitable_reason(g)
+    if reason is not None:
+        raise UnsupportedGraphError(reason)
     if n < 1:
         raise RangeError("walk length must be >= 1")
     counts = g.counts()
+    d = g.out_deg[0]
     k = g.k
     nn = n * n
     power = 1
@@ -116,8 +121,11 @@ def _milestone_spec(g: Graph, layout: RegularLayout) -> RadixSpec:
     return RadixSpec.uniform_spec(g.k, t)
 
 
-class RegularStore:
+class RegularStore(WalkStore):
     """Immutable encoded walk over a regular graph; query with vertex_at."""
+
+    MAGIC = b"RWR1"
+    MODE = "regular"
 
     def __init__(self, graph, n, strategy, branching, layout=None,
                  milestones=None, blocks=None, plain=None, tables=None):
@@ -130,10 +138,6 @@ class RegularStore:
         self.blocks = blocks
         self.plain = plain
         self.tables = tables or CodecTables(graph, branching=branching)
-
-    @property
-    def is_plain(self) -> bool:
-        return self.plain is not None
 
     def vertex_at(self, i: int, probes: set | None = None) -> int:
         if not 0 <= i <= self.n:
@@ -152,9 +156,6 @@ class RegularStore:
         code = WalkCode(self.blocks.get(b, probes) + 1, x, y, length)
         return decode_vertex(self.tables, code, i - b * lay.l)
 
-    def decode_walk(self) -> Walk:
-        return Walk(self.graph, [self.vertex_at(i) for i in range(self.n + 1)])
-
     @property
     def payload_bits(self) -> int:
         if self.plain is not None:
@@ -163,22 +164,14 @@ class RegularStore:
 
     @property
     def header_bits(self) -> int:
-        arrays = [self.plain] if self.plain is not None else [self.milestones, self.blocks]
-        param_bits = 8 * (_varint_len(self.n) + 2)  # n + mode/branching bytes
-        if self.layout is not None:
-            param_bits += 8 * _varint_len(self.layout.l)
-        return param_bits + sum(a.header_bits for a in arrays)
+        l = () if self.layout is None else (self.layout.l,)
+        return self._head_bits(l, (self.milestones, self.blocks))
 
     # -- serialization --------------------------------------------------------
 
     def body_bytes(self) -> bytes:
-        out = bytearray()
-        out.append(0 if self.plain is not None else 1)
-        write_varint(out, self.n)
-        out.append(self.branching)
-        if self.plain is not None:
-            out.extend(self.plain.to_bytes())
-        else:
+        out = self._body_head()
+        if self.plain is None:
             write_varint(out, self.layout.l)
             out.extend(self.milestones.to_bytes())
             out.extend(self.blocks.to_bytes())
@@ -186,12 +179,9 @@ class RegularStore:
 
     @classmethod
     def from_body(cls, cur: Cursor, graph: Graph) -> "RegularStore":
-        mode = cur.u8()
-        n = cur.varint()
-        branching = cur.u8()
-        if mode == 0:
-            plain = SuccinctArray.read_from(cur)
-            return cls(graph, n, plain.strategy, branching, plain=plain)
+        n, branching, plain = cls._read_head(cur, graph)
+        if plain is not None:
+            return plain
         l = cur.varint()
         if not 1 <= l <= min(max(1, n // 2), _scan_cap(n)):
             raise FormatError(f"block length {l} inconsistent with walk length {n}")
@@ -209,30 +199,15 @@ class RegularStore:
                    layout=layout, milestones=milestones, blocks=blocks)
 
 
-def _varint_len(v: int) -> int:
-    out = bytearray()
-    write_varint(out, v)
-    return len(out)
-
-
-def build_plain(g: Graph, w: Walk) -> RegularStore:
-    """Degenerate fallback: vertices packed at ceil(lg |G|) bits each."""
-    spec = RadixSpec.uniform_spec(g.k, w.length + 1)
-    arr = SuccinctArray.build(spec, list(w.verts), "packed")
-    return RegularStore(g, w.length, ("packed", None), 2, plain=arr)
-
-
 def build_regular(g: Graph, w: Walk, strategy="spill_tree", branching: int = 2) -> RegularStore:
     """Encode a walk on a regular graph; falls back to plain packing when the
     walk is too short for milestone blocks to pay off."""
     if w.graph != g:
         raise InvalidWalkError("walk was built on a different graph")
     n = w.length
-    if n < 1:
-        return build_plain(g, w)
-    l = choose_l(g, n)
+    l = choose_l(g, n) if n >= 1 else None
     if l is None or n < 2 * l:
-        return build_plain(g, w)
+        return RegularStore.build_plain(g, w)
     layout = _layout_for(g, n, l)
     _check_admissible(g, layout)
     tables = CodecTables(g, branching=branching)

@@ -10,53 +10,37 @@ from __future__ import annotations
 import hashlib
 
 from . import dictionary as dict_mod
-from . import general as general_mod
-from . import pointwise as pointwise_mod
-from . import regular as regular_mod
 from .errors import FormatError, UnsupportedGraphError
-from .fileio import Cursor, graph_from_json, graph_to_json, write_bytes
+from .fileio import Cursor, decode_text, graph_from_json, graph_to_json, write_bytes
 from .general import GeneralStore, PeriodicStore, SccStore, build_general
-from .graph import Graph, Walk, analyze
+from .graph import Graph, Walk
 from .pointwise import PointwiseStore, build_pointwise
-from .regular import RegularStore, build_regular
+from .regular import RegularStore, build_regular, unsuitable_reason
+from .store import WalkStore
 
 STORE_VERSION = 1
 
-_GENERAL_TAGS = {GeneralStore: 0, PeriodicStore: 1, SccStore: 2}
-_GENERAL_TYPES = {v: k for k, v in _GENERAL_TAGS.items()}
+# (magic, tag) -> store class; a tag of None means the magic has no tag byte.
+_STORE_CLASSES = {
+    (cls.MAGIC, cls.TAG): cls
+    for cls in (RegularStore, GeneralStore, PeriodicStore, SccStore, PointwiseStore)
+}
+_MAGICS = {magic for magic, _ in _STORE_CLASSES}
 
 
 def graph_digest(g: Graph) -> bytes:
     return hashlib.sha256(graph_to_json(g).encode("utf-8")).digest()
 
 
-def magic_of(store) -> bytes:
-    if isinstance(store, RegularStore):
-        return regular_mod.MAGIC
-    if isinstance(store, (GeneralStore, PeriodicStore, SccStore)):
-        return general_mod.MAGIC
-    if isinstance(store, PointwiseStore):
-        return pointwise_mod.MAGIC
-    raise FormatError(f"cannot serialize {type(store).__name__}")
-
-
-def mode_of(store) -> str:
-    if isinstance(store, RegularStore):
-        return "regular"
-    if isinstance(store, (GeneralStore, PeriodicStore, SccStore)):
-        return "general"
-    if isinstance(store, PointwiseStore):
-        return "pointwise"
-    return "dictionary"
-
-
 def store_to_bytes(store) -> bytes:
-    out = bytearray(magic_of(store))
+    if not isinstance(store, WalkStore):
+        raise FormatError(f"cannot serialize {type(store).__name__}")
+    out = bytearray(store.MAGIC)
     out.append(STORE_VERSION)
     write_bytes(out, graph_to_json(store.graph).encode("utf-8"))
     out.extend(graph_digest(store.graph))
-    if isinstance(store, (GeneralStore, PeriodicStore, SccStore)):
-        out.append(_GENERAL_TAGS[type(store)])
+    if store.TAG is not None:
+        out.append(store.TAG)
     out.extend(store.body_bytes())
     return bytes(out)
 
@@ -64,12 +48,12 @@ def store_to_bytes(store) -> bytes:
 def store_from_bytes(data: bytes, graph: Graph | None = None):
     cur = Cursor(data)
     magic = cur.take(4)
-    if magic not in (regular_mod.MAGIC, general_mod.MAGIC, pointwise_mod.MAGIC):
+    if magic not in _MAGICS:
         raise FormatError(f"unknown store magic {magic!r}")
     version = cur.u8()
     if version != STORE_VERSION:
         raise FormatError(f"unsupported store version {version}")
-    embedded = graph_from_json(cur.blob().decode("utf-8"))
+    embedded = graph_from_json(decode_text(cur.blob(), "embedded graph JSON"))
     digest = cur.take(32)
     if digest != graph_digest(embedded):
         raise FormatError("embedded graph fails its digest check")
@@ -77,16 +61,10 @@ def store_from_bytes(data: bytes, graph: Graph | None = None):
         raise UnsupportedGraphError(
             "store was built for a different graph (digest mismatch)"
         )
-    g = embedded
-    if magic == regular_mod.MAGIC:
-        store = RegularStore.from_body(cur, g)
-    elif magic == general_mod.MAGIC:
-        tag = cur.u8()
-        if tag not in _GENERAL_TYPES:
-            raise FormatError(f"unknown general-store tag {tag}")
-        store = _GENERAL_TYPES[tag].from_body(cur, g)
-    else:
-        store = PointwiseStore.from_body(cur, g)
+    tag = None if (magic, None) in _STORE_CLASSES else cur.u8()
+    if (magic, tag) not in _STORE_CLASSES:
+        raise FormatError(f"unknown tag {tag} for store magic {magic!r}")
+    store = _STORE_CLASSES[magic, tag].from_body(cur, embedded)
     if not cur.done():
         raise FormatError("trailing bytes after store body")
     return store
@@ -106,12 +84,7 @@ def load_store(path: str, graph: Graph | None = None):
 
 
 def regular_suitable(g: Graph) -> bool:
-    info = analyze(g)
-    if not (info.is_regular and info.is_strongly_connected):
-        return False
-    if g.directed:
-        return info.is_aperiodic
-    return not info.is_bipartite or g.k == 1
+    return unsuitable_reason(g) is None
 
 
 def build_store(g: Graph, w: Walk, mode: str = "auto", strategy="spill_tree",

@@ -206,6 +206,26 @@ def test_non_utf8_inputs_exit_parse_error(workspace, capsys):
         assert "UTF-8" in err
 
 
+def test_non_utf8_store_files_exit_parse_error(workspace, capsys):
+    ws, _, _ = workspace
+    run(["encode", "--graph", str(ws / "c3.json"), "--walk", str(ws / "w.wlk"),
+         "--out", str(ws / "s.rws")], capsys)
+    store = bytearray((ws / "s.rws").read_bytes())
+    store[6] = 0xFF  # first byte of the embedded graph JSON
+    (ws / "dist.json").write_text(dist_to_json(["a", "b"], [1, 1]))
+    (ws / "t.txt").write_text("abba\n")
+    run(["dict", "--dist", str(ws / "dist.json"), "--text", str(ws / "t.txt"),
+         "--out", str(ws / "d.rwd")], capsys)
+    dictionary = bytearray((ws / "d.rwd").read_bytes())
+    dictionary[6] = 0xFF  # the first symbol's one byte
+    for name, data in [("bad.rws", store), ("bad.rwd", dictionary)]:
+        (ws / name).write_bytes(bytes(data))
+        for argv in (["query", str(ws / name), "0"], ["stats", str(ws / name)]):
+            code, _, err = run(argv, capsys)
+            assert code == 2, (name, argv)
+            assert "UTF-8" in err
+
+
 def test_bench_grid(tmp_path, capsys):
     code, out, _ = run(
         ["bench", "--graphs", "c3,fib", "--sizes", "256", "--modes", "auto",

@@ -5,7 +5,6 @@ import pytest
 from conftest import enumerate_walks, small_corpus
 from walkstore.codec import (
     CodecTables,
-    MonotonePredecessor,
     WalkCode,
     decode_full,
     decode_vertex,
@@ -102,18 +101,6 @@ def test_decode_depth_bound(fib):
             assert stats["depth"] <= math.ceil(math.log(max(l, 2), branching)) + 1
 
 
-def test_leaf_tables_match_recursion(fib):
-    plain = CodecTables(fib)
-    tabled = CodecTables(fib, leaf_table_max=4)
-    for l in range(9):
-        for verts in enumerate_walks(fib, l):
-            c1 = encode_walk(plain, verts)
-            c2 = encode_walk(tabled, verts)
-            assert c1.value == c2.value
-            for q in range(l + 1):
-                assert decode_vertex(tabled, c2, q) == verts[q]
-
-
 def test_invalid_inputs(fib):
     t = CodecTables(fib)
     with pytest.raises(InvalidWalkError):
@@ -141,14 +128,12 @@ def test_predecessor_random_vs_oracle(seed):
     for gap in gaps:
         acc += gap
         prefix.append(acc)
-    fast = MonotonePredecessor(prefix)
     for _ in range(200):
         key = rng.randrange(1, acc + 1)
         import bisect
 
         expect = bisect.bisect_left(prefix, key)
         assert predecessor_monotone(prefix, key) == expect
-        assert fast.query(key) == expect
 
 
 def test_global_rank_identity(c3, fib):

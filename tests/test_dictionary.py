@@ -9,7 +9,7 @@ from walkstore.dictionary import (
     SuccinctDictionary,
     build_dictionary,
 )
-from walkstore.errors import ParameterError, RangeError
+from walkstore.errors import FormatError, ParameterError, RangeError
 from walkstore.graph import analyze, benchmark_pointwise_bits
 
 
@@ -144,3 +144,11 @@ def test_empty_string():
     d = build_dictionary(dist_abc(), "")
     assert d.length == 0
     assert d.store.n == 0
+
+
+def test_symbol_not_utf8_is_format_error():
+    data = bytearray(build_dictionary(dist_abc(), "abacab").to_bytes())
+    assert data[4:7] == bytes([3, 1]) + b"a"  # three symbols, the first one byte long
+    data[6] = 0xFF
+    with pytest.raises(FormatError, match="UTF-8"):
+        SuccinctDictionary.from_bytes(bytes(data))

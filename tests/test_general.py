@@ -366,3 +366,48 @@ def test_from_body_rejects_crafted_half_block(fib, n, half_len):
     with pytest.raises(FormatError):
         GeneralStore.from_body(Cursor(_crafted_core_body(store, n, half_len)), fib)
     assert time.perf_counter() - start < 1.0
+
+
+def _periodic_then_aperiodic_scc_store():
+    # SCC {0, 1} is a 2-cycle (period 2), SCC {2, 3} has a loop at 2
+    g = Graph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (2, 2)], directed=True)
+    w = Walk(g, [0, 1] * 10 + [2, 3, 2, 2, 3, 2, 2, 2, 3, 2])
+    store = wrap_scc(g, w)
+    assert [type(seg) for seg in store.segments] == [PeriodicStore, GeneralStore]
+    return g, store
+
+
+def _scc_body(store, starts=None, scc_ids=None, tags=None):
+    starts = store.starts if starts is None else starts
+    scc_ids = store.scc_ids if scc_ids is None else scc_ids
+    if tags is None:
+        tags = [1 if isinstance(seg, PeriodicStore) else 0 for seg in store.segments]
+    out = bytearray()
+    write_varint(out, store.n)
+    write_varint(out, len(store.segments))
+    for start, scc_id, tag, seg in zip(starts, scc_ids, tags, store.segments):
+        write_varint(out, start)
+        write_varint(out, scc_id)
+        out.append(tag)
+        out.extend(seg.body_bytes())
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("scc_ids", lambda s: [len(s.scc_list), s.scc_ids[1]]),
+        ("tags", lambda s: [2, 0]),
+        ("starts", lambda s: [1, s.starts[1]]),
+        ("starts", lambda s: [0, 0]),
+        ("starts", lambda s: [0, s.n + 1]),
+    ],
+    ids=["scc_id_beyond", "unknown_tag", "first_start_not_zero", "starts_not_increasing",
+         "start_beyond_n"],
+)
+def test_scc_from_body_rejects_crafted_segments(field, values):
+    g, store = _periodic_then_aperiodic_scc_store()
+    body = _scc_body(store)
+    assert SccStore.from_body(Cursor(body), g).decode_walk().verts == store.decode_walk().verts
+    with pytest.raises(FormatError):
+        SccStore.from_body(Cursor(_scc_body(store, **{field: values(store)})), g)

@@ -1,8 +1,12 @@
+import random
+import signal
+from pathlib import Path
+
 import pytest
 
 from conftest import two_scc_dag
 from walkstore.dictionary import DyadicDist, build_dictionary
-from walkstore.errors import FormatError, UnsupportedGraphError
+from walkstore.errors import FormatError, UnsupportedGraphError, WalkstoreError
 from walkstore.graph import complete, directed_cycle, fibonacci_digraph, gen_walk
 from walkstore.storefile import (
     build_store,
@@ -74,3 +78,47 @@ def test_dictionary_file_dispatch(tmp_path):
     (tmp_path / "d.rwd").write_bytes(d.to_bytes())
     back = load_store(str(tmp_path / "d.rwd"))
     assert back.decode_string() == "abba"
+
+
+def test_embedded_graph_json_not_utf8_is_format_error(k4):
+    blob = bytearray(store_to_bytes(build_store(k4, gen_walk(k4, 30, seed=1))))
+    assert blob[5] < 0x80  # one-byte length, so the graph JSON starts at byte 6
+    blob[6] = 0xFF
+    with pytest.raises(FormatError, match="UTF-8"):
+        store_from_bytes(bytes(blob))
+
+
+GOLDEN = sorted(Path(__file__).parent.joinpath("golden").glob("*.bin"))
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("load took longer than 3 s")
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.stem for p in GOLDEN])
+def test_mutated_golden_files_load_or_raise(path, tmp_path):
+    """40 seeded mutations of each golden file: truncations and 1-3 byte
+    edits.  Each must load or raise a WalkstoreError, within 3 s."""
+    data = path.read_bytes()
+    rng = random.Random(f"mutate {path.name}")
+    target = tmp_path / path.name
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for case in range(40):
+            if case % 4 == 0:
+                mutated = data[: rng.randrange(len(data))]
+            else:
+                buf = bytearray(data)
+                for pos in rng.sample(range(len(buf)), rng.randint(1, 3)):
+                    buf[pos] ^= rng.randrange(1, 256)
+                mutated = bytes(buf)
+            target.write_bytes(mutated)
+            signal.setitimer(signal.ITIMER_REAL, 3)
+            try:
+                load_store(str(target))
+            except WalkstoreError:
+                pass
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
