@@ -723,9 +723,9 @@ class SccStore(WalkStore):
         starts, scc_ids, segments = [], [], []
         for _ in range(count):
             start = cur.varint()
-            # starts run 0 = s_0 < s_1 < ... <= n, or a query lands nowhere
-            if start > n or (start <= starts[-1] if starts else start != 0):
-                raise FormatError(f"segment start {start} out of order (walk length {n})")
+            # each segment starts one past the last vertex of the one before
+            if start != (starts[-1] + segments[-1].n + 1 if starts else 0):
+                raise FormatError(f"segment start {start} disagrees with the segment before it")
             starts.append(start)
             scc_id = cur.varint()
             if scc_id >= len(scc_list):
@@ -736,6 +736,8 @@ class SccStore(WalkStore):
                 raise FormatError(f"unknown SCC segment tag {tag}")
             sub = _induced_subgraph(graph, scc_list[scc_id])
             segments.append(_SEGMENT_CLASSES[tag].from_body(cur, sub))
+        if starts[-1] + segments[-1].n != n:
+            raise FormatError(f"segments end at {starts[-1] + segments[-1].n}, not at {n}")
         return cls(graph, n, starts, scc_ids, segments, scc_list)
 
 

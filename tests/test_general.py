@@ -401,9 +401,10 @@ def _scc_body(store, starts=None, scc_ids=None, tags=None):
         ("starts", lambda s: [1, s.starts[1]]),
         ("starts", lambda s: [0, 0]),
         ("starts", lambda s: [0, s.n + 1]),
+        ("starts", lambda s: [0, s.starts[1] - 5]),
     ],
     ids=["scc_id_beyond", "unknown_tag", "first_start_not_zero", "starts_not_increasing",
-         "start_beyond_n"],
+         "start_beyond_n", "start_inside_segment"],
 )
 def test_scc_from_body_rejects_crafted_segments(field, values):
     g, store = _periodic_then_aperiodic_scc_store()
