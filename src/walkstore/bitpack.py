@@ -25,6 +25,7 @@ specs the stores build (uniform, or uniform apart from the end radices).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Sequence
@@ -48,7 +49,9 @@ class BitVec:
 
     Reads and writes take arbitrary widths; out-of-range access raises,
     values never wrap silently.  ``probes`` collects the indices of the
-    64-bit words a read touches, for cell-probe instrumentation.
+    64-bit words a read touches, for cell-probe instrumentation.  A vector
+    read from bytes or held by a SuccinctArray keeps its buffer as
+    immutable ``bytes``, which ``int.from_bytes`` reads without a copy.
     """
 
     __slots__ = ("buf", "nbits")
@@ -94,7 +97,7 @@ class BitVec:
             raise FormatError("bit payload length mismatch")
         vec = cls()
         vec.nbits = nbits
-        vec.buf = bytearray(raw)
+        vec.buf = bytes(raw)
         return vec
 
     def __eq__(self, other):
@@ -333,53 +336,92 @@ class _SpillLayout:
     """Balanced combine tree (Patrascu, "Succincter", FOCS'08).
 
     A node's shape (spill range, bits it emits, bits in its subtree, left
-    shape, right shape, left size) depends only on the radices under it,
-    so equal subtrees share one shape: a run spec has O(lg t) shapes.
-    Fields are laid out in pre-order; reads and writes compute a node's
-    offset on the way down.
+    shape, right shape, left size, then for a read step the mask of its
+    bits, the right child's range and the left subtree's bits) depends only
+    on the radices under it, so equal subtrees share one shape: a run spec
+    has O(lg t) shapes.  Fields are laid out in pre-order; reads and writes
+    compute a node's offset on the way down.
+
+    A layout serves one payload.  Its first read without a probe set
+    caches the frontier: every node at half the tree depth, about sqrt(t)
+    of them, with its first position, bit offset and entering spill.  Such
+    reads start from their frontier node; reads with a probe set walk from
+    the root, so they report every word on the path.
     """
 
     def __init__(self, spec: RadixSpec, k_min: int):
         self.k_min = k_min
-        self.root = self._shape(spec, 0, spec.t, {}) if spec.t else (1, 0, 0, None, None, 1)
+        self.root = (
+            self._shape(spec, 0, spec.t, {}) if spec.t else (1, 0, 0, None, None, 1, 0, 1, 0)
+        )
         self.payload_bits = self.root[2]
         self.root_range = self.root[0]
+        self.frontier_depth = (ceil_log2(spec.t) if spec.t > 1 else 0) // 2
+        self.frontier = None  # (first positions, bit offsets, entering spills, shapes)
 
     def _shape(self, spec, lo, hi, memo):
         key = spec.slice_runs(lo, hi)
         shape = memo.get(key)
         if shape is None:
             if hi - lo == 1:
-                shape = (key[0][0], 0, 0, None, None, 1)
+                shape = (key[0][0], 0, 0, None, None, 1, 0, 1, 0)
             else:
                 mid = (lo + hi) // 2
                 left = self._shape(spec, lo, mid, memo)
                 right = self._shape(spec, mid, hi, memo)
                 combined = left[0] * right[0]
-                if combined >= self.k_min:
-                    bits = (combined // self.k_min).bit_length() - 1
-                else:
-                    bits = 0
+                bits = max(0, (combined // self.k_min).bit_length() - 1)
                 range_ = (combined + (1 << bits) - 1) >> bits
-                shape = (range_, bits, bits + left[2] + right[2], left, right, mid - lo)
+                shape = (range_, bits, bits + left[2] + right[2], left, right, mid - lo,
+                         (1 << bits) - 1, right[0], left[2])
             memo[key] = shape
         return shape
 
+    def _build_frontier(self, payload: BitVec, spill: int) -> tuple:
+        los, offs, spills, shapes = array("q"), array("q"), [], []
+        stack = [(self.root, 0, 0, spill, 0)]
+        while stack:
+            shape, lo, off, spill, depth = stack.pop()
+            _, bits, _, left, right, half, _, right_range, left_bits = shape
+            if left is None or depth == self.frontier_depth:
+                los.append(lo)
+                offs.append(off)
+                spills.append(spill)
+                shapes.append(shape)
+                continue
+            spill = (spill << bits) | payload.read(off, bits)
+            off += bits
+            stack.append((right, lo + half, off + left_bits, spill % right_range, depth + 1))
+            stack.append((left, lo, off, spill // right_range, depth + 1))
+        return los, offs, spills, shapes
+
     def get(self, payload: BitVec, spill: int, i: int, probes: set | None) -> int:
-        shape, off = self.root, 0
+        if probes is None:
+            if self.frontier is None:
+                self.frontier = self._build_frontier(payload, spill)
+            los, offs, spills, shapes = self.frontier
+            j = bisect_right(los, i) - 1
+            shape, off, spill, i = shapes[j], offs[j], spills[j], i - los[j]
+        else:
+            shape, off = self.root, 0
+        buf, from_bytes = payload.buf, int.from_bytes
         while True:
-            _, bits, _, left, right, half = shape
+            _, bits, _, left, right, half, mask, right_range, left_bits = shape
             if left is None:
                 return spill
             if bits:
-                spill = (spill << bits) | payload.read(off, bits, probes)
-                off += bits
+                end = off + bits
+                if probes is not None:
+                    probes.update(range(off >> 6, ((end - 1) >> 6) + 1))
+                field = from_bytes(buf[off >> 3 : (end + 7) >> 3], "little") >> (off & 7)
+                spill = (spill << bits) | (field & mask)
+                off = end
             if i < half:
-                spill //= right[0]
+                spill //= right_range
                 shape = left
             else:
-                spill %= right[0]
-                off += left[2]
+                spill %= right_range
+                off += left_bits
                 i -= half
                 shape = right
 
@@ -388,13 +430,13 @@ class _SpillLayout:
         return self._encode(self.root, values, 0, 0, vec) if values else 0
 
     def _encode(self, shape, values, lo, off, vec) -> int:
-        _, bits, _, left, right, half = shape
+        _, bits, _, left, right, half, mask, right_range, left_bits = shape
         if left is None:
             return values[lo]
-        v = self._encode(left, values, lo, off + bits, vec) * right[0]
-        v += self._encode(right, values, lo + half, off + bits + left[2], vec)
+        v = self._encode(left, values, lo, off + bits, vec) * right_range
+        v += self._encode(right, values, lo + half, off + bits + left_bits, vec)
         if bits:
-            vec.write(off, bits, v & ((1 << bits) - 1))
+            vec.write(off, bits, v & mask)
         return v >> bits
 
 
@@ -414,6 +456,7 @@ class SuccinctArray:
     def __init__(self, spec, strategy, payload, layout, root_spill=0):
         self.spec = spec
         self.strategy = strategy
+        payload.buf = bytes(payload.buf)  # read-only from here on
         self.payload = payload
         self._layout = layout
         self.root_spill = root_spill

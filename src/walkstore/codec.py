@@ -6,13 +6,14 @@ conquer: the interior split vertices form a tuple Z, ranked through a
 directory of tuples sorted by how many walks pass through them, and the
 per-segment codes K_1..K_B are mixed-radix-packed after it.  Decoding a
 single position recovers Z by predecessor search over the directory prefix
-sums and recurses only into the segment holding the position, so it touches
-O(lg l) recursion levels instead of unranking the whole walk.
+sums and descends only into the segment holding the position, one loop
+iteration per recursion level, so it touches O(lg l) levels instead of
+unranking the whole walk.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,7 @@ def predecessor_monotone(prefix_sums: Sequence[int], key: int) -> int:
         raise RangeError("empty prefix sums")
     if key < 1 or key > prefix_sums[-1]:
         raise RangeError(f"key {key} outside [1,{prefix_sums[-1]}]")
-    return bisect.bisect_left(prefix_sums, key)
+    return bisect_left(prefix_sums, key)
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class WalkCode:
 class _Directory:
     """All interior-vertex tuples for one (x, y, l), sorted by walk count."""
 
-    __slots__ = ("tuples", "index", "prefix", "seg_counts", "suffix")
+    __slots__ = ("bounds", "tuples", "index", "prefix", "seg_counts", "suffix")
 
-    def __init__(self, tuples, prefix, seg_counts, suffix):
+    def __init__(self, bounds, tuples, prefix, seg_counts, suffix):
+        self.bounds = bounds  # the segment bounds of length l
         self.tuples = tuples
         self.index = {tup: i for i, tup in enumerate(tuples)}
         self.prefix = prefix
@@ -138,7 +140,7 @@ class CodecTables:
             for i in range(B - 2, -1, -1):
                 sfx[i] = sfx[i + 1] * counts[i + 1]
             suffix.append(tuple(sfx))
-        directory = _Directory(tuples, prefix, seg_counts, suffix)
+        directory = _Directory(bounds, tuples, prefix, seg_counts, suffix)
         self._dirs[key] = directory
         return directory
 
@@ -165,28 +167,31 @@ class CodecTables:
 
     # -- decoding ------------------------------------------------------------
 
-    def _decode_vertex(self, x, y, l, code, q, depth_box) -> int:
-        if q == 0:
-            return x
-        if q == l:
-            return y
-        depth_box[0] += 1
-        directory = self.directory(x, y, l)
-        z = predecessor_monotone(directory.prefix, code)
-        rest = code - (directory.prefix[z - 1] if z else 0) - 1
-        tup = directory.tuples[z]
-        bounds = self.segment_bounds(l)
-        for i in range(1, self.branching):
-            if q == bounds[i]:
-                return tup[i - 1]
-        i = bisect.bisect_right(bounds, q) - 1
-        counts = directory.seg_counts[z]
-        k_i = (rest // directory.suffix[z][i]) % counts[i] + 1
-        ends = (x, *tup, y)
-        return self._decode_vertex(
-            ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i, q - bounds[i],
-            depth_box,
-        )
+    def decode(self, x: int, y: int, l: int, code: int, q: int) -> tuple:
+        """(vertex at position q, recursion depth) of the length-l walk
+        x -> y with this code: one loop, one level per directory lookup."""
+        B = self.branching
+        depth = 0
+        while 0 < q < l:
+            depth += 1
+            directory = self._dirs.get((x, y, l)) or self.directory(x, y, l)
+            prefix = directory.prefix
+            if not (prefix and 1 <= code <= prefix[-1]):
+                raise RangeError(f"code {code} outside the length-{l} walks {x} -> {y}")
+            z = bisect_left(prefix, code)
+            tup = directory.tuples[z]
+            bounds = directory.bounds
+            i = bisect_left(bounds, q)
+            if bounds[i] == q:
+                return tup[i - 1], depth
+            i -= 1
+            rest = code - (prefix[z - 1] if z else 0) - 1
+            code = rest // directory.suffix[z][i] % directory.seg_counts[z][i] + 1
+            x = tup[i - 1] if i else x
+            y = tup[i] if i < B - 1 else y
+            l = bounds[i + 1] - bounds[i]
+            q -= bounds[i]
+        return (x if q == 0 else y), depth
 
     def _decode_full(self, x, y, l, code, out) -> None:
         if l == 0:
@@ -238,10 +243,9 @@ def decode_vertex(tables: CodecTables, code: WalkCode, q: int, stats: dict | Non
     if not 0 <= q <= code.l:
         raise RangeError(f"position {q} outside [0,{code.l}]")
     _check_code(tables, code)
-    depth_box = [0]
-    v = tables._decode_vertex(code.x, code.y, code.l, code.value, q, depth_box)
+    v, depth = tables.decode(code.x, code.y, code.l, code.value, q)
     if stats is not None:
-        stats["depth"] = max(stats.get("depth", 0), depth_box[0])
+        stats["depth"] = max(stats.get("depth", 0), depth)
     return v
 
 

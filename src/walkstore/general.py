@@ -18,7 +18,8 @@ All slicing arithmetic is exact; the slice of a code K among s groups is
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .bitpack import RadixSpec, SuccinctArray, normalize_strategy
 from .codec import CodecTables, WalkCode, decode_vertex, encode_walk
@@ -47,7 +48,9 @@ class BundleTable:
 
     ``groups_out[x]`` (s_x) is the number of slices for walk codes leaving
     milestone vertex x, proportional to x's share of all length-L walks;
-    ``groups_in[x]`` (t_x) the same for codes arriving at x.
+    ``groups_in[x]`` (t_x) the same for codes arriving at x.  ``rows[side][x]``
+    holds, for every other endpoint y, the count N_L of the walks sliced at x
+    (x -> y on side 'out', y -> x on side 'in'), then x's group count.
     """
 
     def __init__(self, graph: Graph, n: int, half_len: int, counts: CountTable | None = None):
@@ -68,25 +71,24 @@ class BundleTable:
             raise ParameterError(
                 f"a vertex gets zero groups at half-block {half_len}; increase it"
             )
+        mat = self.counts.power(half_len)
+        self.rows = {
+            "out": [(tuple(mat[x]), s) for x, s in enumerate(self.groups_out)],
+            "in": [(tuple(row[x] for row in mat), t) for x, t in enumerate(self.groups_in)],
+        }
         self.sum_out = sum(self.groups_out)
         self.sum_in = sum(self.groups_in)
-        self.pair = [s * t for s, t in zip(self.groups_out, self.groups_in)]
-        self.sum_pair = sum(self.pair)
-        self._prefix_out = _prefix(self.groups_out)
-        self._prefix_in = _prefix(self.groups_in)
-        self._prefix_pair = _prefix(self.pair)
+        self._prefix_out = list(accumulate(self.groups_out, initial=0))
+        self._prefix_in = list(accumulate(self.groups_in, initial=0))
+        self._prefix_pair = list(accumulate(map(mul, self.groups_out, self.groups_in), initial=0))
+        self.sum_pair = self._prefix_pair[-1]
 
     # -- slicing ---------------------------------------------------------------
 
-    def _count(self, x: int, y: int, side: str) -> int:
-        if side == "out":
-            return self.counts.count(x, y, self.half_len)
-        if side == "in":
-            return self.counts.count(y, x, self.half_len)
-        raise ParameterError(f"side must be 'out' or 'in', got {side!r}")
-
-    def _groups(self, x: int, side: str) -> int:
-        return self.groups_out[x] if side == "out" else self.groups_in[x]
+    def _row(self, x: int, side: str) -> tuple:
+        if side not in self.rows:
+            raise ParameterError(f"side must be 'out' or 'in', got {side!r}")
+        return self.rows[side][x]
 
     def slice_of(self, code: int, x: int, y: int, side: str) -> tuple:
         """(slice j, within-slice index k) of a half-block code.
@@ -94,30 +96,27 @@ class BundleTable:
         side 'out': code ranks a walk x -> y leaving milestone x.
         side 'in':  code ranks a walk y -> x entering milestone x.
         """
-        total = self._count(x, y, side)
+        row, s = self._row(x, side)
+        total = row[y]
         if not 1 <= code <= total:
             raise RangeError(f"code {code} outside [1,{total}]")
-        s = self._groups(x, side)
         j = (code - 1) * s // total + 1
-        k = code - _cdiv((j - 1) * total, s)
-        return j, k
+        return j, code - _cdiv((j - 1) * total, s)
 
     def code_of(self, j: int, k: int, x: int, y: int, side: str) -> int:
         """Inverse of slice_of."""
-        total = self._count(x, y, side)
-        s = self._groups(x, side)
+        row, s = self._row(x, side)
         if not 1 <= j <= s:
             raise RangeError(f"slice {j} outside [1,{s}]")
-        code = _cdiv((j - 1) * total, s) + k
-        if not 1 <= k <= self.slice_size(x, j, y, side):
+        total = row[y]
+        if not 1 <= k <= _slice_size(total, s, j):
             raise RangeError(f"within-slice index {k} out of range")
-        return code
+        return _cdiv((j - 1) * total, s) + k
 
     def slice_size(self, x: int, j: int, y: int, side: str) -> int:
         """Number of codes endpoint y contributes to slice j at vertex x."""
-        total = self._count(x, y, side)
-        s = self._groups(x, side)
-        return _cdiv(j * total, s) - _cdiv((j - 1) * total, s)
+        row, s = self._row(x, side)
+        return _slice_size(row[y], s, j)
 
     # -- bundle packing ----------------------------------------------------------
 
@@ -129,9 +128,8 @@ class BundleTable:
         )
 
     def unpack_interior(self, value: int) -> tuple:
-        x = _bucket(self._prefix_pair, value)
-        rem = value - self._prefix_pair[x]
-        slice_in, slice_out = divmod(rem, self.groups_out[x])
+        x = _bucket_of(self._prefix_pair, value)
+        slice_in, slice_out = divmod(value - self._prefix_pair[x], self.groups_out[x])
         return x, slice_in + 1, slice_out + 1
 
     def pack_end(self, x: int, j: int, side: str) -> int:
@@ -140,18 +138,22 @@ class BundleTable:
 
     def unpack_end(self, value: int, side: str) -> tuple:
         prefix = self._prefix_out if side == "out" else self._prefix_in
-        x = _bucket(prefix, value)
+        x = _bucket_of(prefix, value)
         return x, value - prefix[x] + 1
 
     # -- triples --------------------------------------------------------------
 
+    def _sizes(self, x: int, slice_out: int, x_next: int, slice_in: int) -> list:
+        """Per midpoint y: (codes y gives slice_out at x, codes y gives
+        slice_in at x_next)."""
+        row_out, s = self.rows["out"][x]
+        row_in, t = self.rows["in"][x_next]
+        return [(_slice_size(a, s, slice_out), _slice_size(b, t, slice_in))
+                for a, b in zip(row_out, row_in)]
+
     def triple_count(self, x: int, slice_out: int, x_next: int, slice_in: int) -> int:
         """Number of (midpoint, k_out, k_in) triples a context allows."""
-        return sum(
-            self.slice_size(x, slice_out, y, "out")
-            * self.slice_size(x_next, slice_in, y, "in")
-            for y in range(self.graph.k)
-        )
+        return sum(a * b for a, b in self._sizes(x, slice_out, x_next, slice_in))
 
     def triple_radix(self) -> int:
         """Upper bound on triple counts over every realizable context."""
@@ -159,58 +161,42 @@ class BundleTable:
         best = 1
         two = self.counts.power(2 * self.half_len)
         for x in range(k):
+            row_out, s = self.rows["out"][x]
             for x_next in range(k):
                 if two[x][x_next] == 0:
                     continue
-                bound = sum(
-                    _cdiv(self.counts.count(x, y, self.half_len), self.groups_out[x])
-                    * _cdiv(self.counts.count(y, x_next, self.half_len), self.groups_in[x_next])
-                    for y in range(k)
-                )
+                row_in, t = self.rows["in"][x_next]
+                bound = sum(_cdiv(a, s) * _cdiv(b, t) for a, b in zip(row_out, row_in))
                 best = max(best, bound)
         return best
 
     def triple_rank(self, x, slice_out, x_next, slice_in, y, k_out, k_in) -> int:
-        rank = 0
-        for y2 in range(y):
-            rank += self.slice_size(x, slice_out, y2, "out") * self.slice_size(
-                x_next, slice_in, y2, "in"
-            )
-        size_in = self.slice_size(x_next, slice_in, y, "in")
-        return rank + (k_out - 1) * size_in + k_in
+        sizes = self._sizes(x, slice_out, x_next, slice_in)
+        return sum(a * b for a, b in sizes[:y]) + (k_out - 1) * sizes[y][1] + k_in
 
     def triple_unrank(self, x, slice_out, x_next, slice_in, rank) -> tuple:
-        for y in range(self.graph.k):
-            block = self.slice_size(x, slice_out, y, "out") * self.slice_size(
-                x_next, slice_in, y, "in"
-            )
+        row_out, s = self.rows["out"][x]
+        row_in, t = self.rows["in"][x_next]
+        for y, a in enumerate(row_out):  # _sizes, inlined: this runs on every query
+            b = row_in[y]
+            size_in = (b - slice_in * b) // t - (-slice_in * b) // t
+            block = ((a - slice_out * a) // s - (-slice_out * a) // s) * size_in
             if rank <= block:
-                size_in = self.slice_size(x_next, slice_in, y, "in")
                 k_out, k_in = divmod(rank - 1, size_in)
                 return y, k_out + 1, k_in + 1
             rank -= block
         raise RangeError("triple rank beyond context count")
 
 
-def _prefix(values):
-    out = [0]
-    for v in values:
-        out.append(out[-1] + v)
-    return out
+def _slice_size(total: int, groups: int, j: int) -> int:
+    """ceil(j N / s) - ceil((j - 1) N / s): the codes of N in slice j of s."""
+    return (total - j * total) // groups - (-j * total) // groups
 
 
-def _bucket(prefix, value):
-    for x in range(len(prefix) - 1):
-        if value < prefix[x + 1]:
-            return x
-    raise RangeError(f"packed value {value} beyond {prefix[-1]}")
-
-
-@dataclass(frozen=True)
-class BundleCoords:
-    vertex: int
-    slice_in: int | None   # None at the first milestone
-    slice_out: int | None  # None at the last milestone
+def _bucket_of(prefix, value):
+    if not 0 <= value < prefix[-1]:
+        raise RangeError(f"packed value {value} outside [0,{prefix[-1]})")
+    return bisect.bisect_right(prefix, value) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +327,16 @@ class GeneralStore(WalkStore):
 
     # -- queries ---------------------------------------------------------------
 
-    def _bundle_at(self, i: int, probes=None) -> BundleCoords:
-        m = self.block_count
+    def _bundle_at(self, i: int, probes=None) -> tuple:
+        """(vertex, slice in or None at the first, slice out or None at the last)."""
         value = self.bundles.get(i, probes)
         if i == 0:
             x, j = self.table.unpack_end(value, "out")
-            return BundleCoords(x, None, j)
-        if i == m:
+            return x, None, j
+        if i == self.block_count:
             x, j = self.table.unpack_end(value, "in")
-            return BundleCoords(x, j, None)
-        x, j_in, j_out = self.table.unpack_interior(value)
-        return BundleCoords(x, j_in, j_out)
+            return x, j, None
+        return self.table.unpack_interior(value)
 
     def vertex_at(self, q: int, probes: set | None = None) -> int:
         if not 0 <= q <= self.n:
@@ -362,28 +347,23 @@ class GeneralStore(WalkStore):
         m = self.block_count
         block_span = 2 * L
         if q > m * block_span:
-            anchor = self._bundle_at(m, probes).vertex
+            anchor = self._bundle_at(m, probes)[0]
             return tail_vertex(self.table.counts, anchor, self.tail_len,
                                self.tail_code, q - m * block_span)
-        if q % block_span == 0:
-            return self._bundle_at(q // block_span, probes).vertex
-        i = q // block_span
-        here = self._bundle_at(i, probes)
-        there = self._bundle_at(i + 1, probes)
+        i, offset = divmod(q, block_span)
+        if offset == 0:
+            return self._bundle_at(i, probes)[0]
+        x, _, slice_out = self._bundle_at(i, probes)
+        x_next, slice_in, _ = self._bundle_at(i + 1, probes)
         rank = self.triples.get(i, probes) + 1
-        mid, k_out, k_in = self.table.triple_unrank(
-            here.vertex, here.slice_out, there.vertex, there.slice_in, rank
-        )
-        offset = q - i * block_span
+        mid, k_out, k_in = self.table.triple_unrank(x, slice_out, x_next, slice_in, rank)
         if offset == L:
             return mid
         if offset < L:
-            code = self.table.code_of(here.slice_out, k_out, here.vertex, mid, "out")
-            wc = WalkCode(code, here.vertex, mid, L)
-            return decode_vertex(self.tables, wc, offset)
-        code = self.table.code_of(there.slice_in, k_in, there.vertex, mid, "in")
-        wc = WalkCode(code, mid, there.vertex, L)
-        return decode_vertex(self.tables, wc, offset - L)
+            code = self.table.code_of(slice_out, k_out, x, mid, "out")
+            return decode_vertex(self.tables, WalkCode(code, x, mid, L), offset)
+        code = self.table.code_of(slice_in, k_in, x_next, mid, "in")
+        return decode_vertex(self.tables, WalkCode(code, mid, x_next, L), offset - L)
 
     # -- accounting -------------------------------------------------------------
 
@@ -618,6 +598,10 @@ class PeriodicStore(WalkStore):
     def from_body(cls, cur: Cursor, graph: Graph) -> "PeriodicStore":
         n = cur.varint()
         period = cur.varint()
+        info = analyze(graph)
+        # checked before ProductGraph, whose size grows exponentially in p
+        if not info.is_strongly_connected or period < 2 or period != info.period[0]:
+            raise FormatError(f"period {period} is not the period of the graph")
         prefix = SuccinctArray.read_from(cur)
         suffix = SuccinctArray.read_from(cur)
         inner = None

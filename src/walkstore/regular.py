@@ -207,7 +207,7 @@ def build_regular(g: Graph, w: Walk, strategy="spill_tree", branching: int = 2) 
     n = w.length
     l = choose_l(g, n) if n >= 1 else None
     if l is None or n < 2 * l:
-        return RegularStore.build_plain(g, w)
+        return RegularStore.build_plain(g, w, branching)
     layout = _layout_for(g, n, l)
     _check_admissible(g, layout)
     tables = CodecTables(g, branching=branching)

@@ -402,6 +402,33 @@ def test_spill_shapes_of_a_run_spec_are_logarithmic():
     assert len(seen) <= 4 * math.ceil(math.log2(t)) + 8
 
 
+@pytest.mark.parametrize("k_min", [2, 16, None])
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 64, 1000, 4520])
+def test_spill_reads_from_frontier_and_root_agree(t, k_min):
+    rng = random.Random(t)
+    if t == 4520:  # a run spec with distinct end radices, like a general store's bundles
+        spec = RadixSpec.from_runs([(10**6 + 3, 1), (10**12 + 39, t - 2), (999_983, 1)])
+    else:
+        spec = RadixSpec([rng.randrange(1, 40) for _ in range(t)])
+    values = [rng.randrange(m) for m in spec]
+    built = SuccinctArray.build(spec, values, ("spill_tree", k_min))
+    loaded = SuccinctArray.from_bytes(built.to_bytes())
+    assert [built.get(i) for i in range(t)] == values  # the frontier is built first
+    assert [built.get(i, set()) for i in range(t)] == values
+    assert [loaded.get(i, set()) for i in range(t)] == values  # the root path first
+    assert [loaded.get(i) for i in range(t)] == values
+
+
+def test_spill_frontier_holds_about_sqrt_t_nodes():
+    t = 10**6
+    spec = RadixSpec.from_runs([(7, 1), (5, t - 2), (11, 1)])
+    layout = _SpillLayout(spec, t * t)
+    assert layout.get(BitVec(layout.payload_bits), 0, t - 1, None) == 0
+    firsts = layout.frontier[0]
+    assert list(firsts) == sorted(firsts) and firsts[0] == 0
+    assert len(firsts) <= 2 * math.ceil(math.sqrt(t))
+
+
 @pytest.mark.parametrize("strategy", ["packed", "blocked", "spill_tree"])
 @pytest.mark.parametrize("nbits", [64, 2**41])
 def test_huge_declared_length_is_rejected_quickly(strategy, nbits):

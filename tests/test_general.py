@@ -5,6 +5,7 @@ import time
 import pytest
 
 from conftest import enumerate_walks, four_vertex_aperiodic, two_scc_dag
+from golden_corpus import GOLDEN_DIR
 from walkstore.errors import FormatError, ParameterError, RangeError
 from walkstore.fileio import Cursor, write_varbig, write_varint
 from walkstore.general import (
@@ -28,6 +29,7 @@ from walkstore.graph import (
     directed_cycle,
     gen_walk,
 )
+from walkstore.storefile import store_from_bytes
 
 
 def test_bundle_table_fib_example(fib):
@@ -377,7 +379,7 @@ def _periodic_then_aperiodic_scc_store():
     return g, store
 
 
-def _scc_body(store, starts=None, scc_ids=None, tags=None):
+def _scc_body(store, starts=None, scc_ids=None, tags=None, bodies=None):
     starts = store.starts if starts is None else starts
     scc_ids = store.scc_ids if scc_ids is None else scc_ids
     if tags is None:
@@ -385,11 +387,13 @@ def _scc_body(store, starts=None, scc_ids=None, tags=None):
     out = bytearray()
     write_varint(out, store.n)
     write_varint(out, len(store.segments))
-    for start, scc_id, tag, seg in zip(starts, scc_ids, tags, store.segments):
+    if bodies is None:
+        bodies = [seg.body_bytes() for seg in store.segments]
+    for start, scc_id, tag, body in zip(starts, scc_ids, tags, bodies):
         write_varint(out, start)
         write_varint(out, scc_id)
         out.append(tag)
-        out.extend(seg.body_bytes())
+        out.extend(body)
     return bytes(out)
 
 
@@ -412,3 +416,39 @@ def test_scc_from_body_rejects_crafted_segments(field, values):
     assert SccStore.from_body(Cursor(body), g).decode_walk().verts == store.decode_walk().verts
     with pytest.raises(FormatError):
         SccStore.from_body(Cursor(_scc_body(store, **{field: values(store)})), g)
+
+
+def _with_period(body: bytes, period: int) -> bytes:
+    """A periodic store's body with its period varint replaced."""
+    cur = Cursor(body)
+    out = bytearray()
+    write_varint(out, cur.varint())  # n
+    cur.varint()
+    write_varint(out, period)
+    return bytes(out) + body[cur.pos:]
+
+
+WRONG_PERIODS = [0, 1, 3, 12, 200]
+
+
+@pytest.mark.parametrize("period", WRONG_PERIODS)
+def test_periodic_from_body_rejects_a_wrong_period(period):
+    store = store_from_bytes((GOLDEN_DIR / "periodic.bin").read_bytes())
+    assert isinstance(store, PeriodicStore) and store.period == 2
+    body = store.body_bytes()
+    assert _with_period(body, 2) == body
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        PeriodicStore.from_body(Cursor(_with_period(body, period)), store.graph)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("period", WRONG_PERIODS)
+def test_scc_segment_rejects_a_wrong_period(period):
+    g, store = _periodic_then_aperiodic_scc_store()
+    bodies = [seg.body_bytes() for seg in store.segments]
+    bodies[0] = _with_period(bodies[0], period)
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        SccStore.from_body(Cursor(_scc_body(store, bodies=bodies)), g)
+    assert time.perf_counter() - start < 1.0

@@ -189,6 +189,18 @@ def test_online_rejects_non_edge(c3):
         online.append(0)  # no self-loop in the triangle
 
 
+@pytest.mark.parametrize("branching", [2, 3, 4])
+def test_plain_batch_and_online_builds_keep_the_branching(k4, branching):
+    w = gen_walk(k4, 5, seed=1)
+    batch = build_regular(k4, w, branching=branching)
+    online = RegularStoreBuilder(k4, 5, branching=branching)
+    for v in w.verts:
+        online.append(v)
+    store = online.finalize()
+    assert batch.is_plain and store.is_plain and batch.branching == branching
+    assert store.body_bytes() == batch.body_bytes()
+
+
 def test_online_plain_mode(c3):
     w = gen_walk(c3, 4, seed=1)
     online = RegularStoreBuilder(c3, 4)
