@@ -5,8 +5,6 @@ from .bitpack import (
     BitVec,
     RadixSpec,
     SuccinctArray,
-    mixed_radix_rank,
-    mixed_radix_unrank,
 )
 from .codec import (
     CodecTables,
@@ -14,7 +12,6 @@ from .codec import (
     decode_full,
     decode_vertex,
     encode_walk,
-    predecessor_monotone,
 )
 from .dictionary import (
     DyadicDist,
@@ -57,7 +54,6 @@ from .graph import (
 )
 from .pointwise import (
     LabelCounts,
-    NodeLabel,
     PointwiseStore,
     build_pointwise,
 )

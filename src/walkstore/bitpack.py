@@ -182,29 +182,6 @@ class RadixSpec:
         return isinstance(other, RadixSpec) and self.runs == other.runs
 
 
-def mixed_radix_rank(values: Sequence[int], spec: RadixSpec) -> int:
-    """Big-endian positional value of ``values`` under ``spec``'s radices."""
-    if len(values) != spec.t:
-        raise RangeError("value count does not match spec")
-    rank = 0
-    for v, m in zip(values, spec):
-        if not 0 <= v < m:
-            raise RangeError(f"value {v} outside radix {m}")
-        rank = rank * m + v
-    return rank
-
-
-def mixed_radix_unrank(value: int, spec: RadixSpec) -> list:
-    """Inverse of mixed_radix_rank."""
-    if value < 0 or value >= spec.product():
-        raise RangeError(f"rank {value} outside radix product")
-    radices = spec.radices
-    out = [0] * spec.t
-    for i in range(spec.t - 1, -1, -1):
-        value, out[i] = divmod(value, radices[i])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 

@@ -22,19 +22,6 @@ from .errors import InvalidWalkError, ParameterError, RangeError
 from .graph import CountTable, Graph, Walk
 
 
-def predecessor_monotone(prefix_sums: Sequence[int], key: int) -> int:
-    """Index of the bucket containing ``key``.
-
-    ``prefix_sums`` is strictly increasing; bucket i covers the value range
-    (prefix_sums[i-1], prefix_sums[i]].  Raises for keys outside [1, last].
-    """
-    if not prefix_sums:
-        raise RangeError("empty prefix sums")
-    if key < 1 or key > prefix_sums[-1]:
-        raise RangeError(f"key {key} outside [1,{prefix_sums[-1]}]")
-    return bisect_left(prefix_sums, key)
-
-
 @dataclass(frozen=True)
 class WalkCode:
     """Rank of a fixed-endpoint walk: 1 <= value <= N_l(x, y)."""
@@ -200,7 +187,8 @@ class CodecTables:
             out.append(y)
             return
         directory = self.directory(x, y, l)
-        z = predecessor_monotone(directory.prefix, code)
+        # decode_full checked the top code; every segment code is in range
+        z = bisect_left(directory.prefix, code)
         rest = code - (directory.prefix[z - 1] if z else 0) - 1
         tup = directory.tuples[z]
         bounds = self.segment_bounds(l)

@@ -75,30 +75,34 @@ class HuffmanGraph:
         next_id = 1
         code = 0
         prev_len = dist.code_lens[0]
-        self.leaf = []
+        # per symbol, its root-to-root cycle without the starting root
+        self.cycles = []
         for sym, length in zip(dist.symbols, dist.code_lens):
             code <<= length - prev_len
             prev_len = length
             bits = tuple((code >> (length - 1 - j)) & 1 for j in range(length))
+            path = []
             for j in range(length):
                 prefix = bits[: j + 1]
                 if prefix not in node_of_prefix:
                     node_of_prefix[prefix] = next_id
                     edges.append((node_of_prefix[bits[:j]], next_id))
                     next_id += 1
-            self.leaf.append(node_of_prefix[bits])
+                path.append(node_of_prefix[prefix])
+            self.cycles.append(path)
             code += 1
         self.symbol_at = {}
-        for idx, (leaf, length) in enumerate(zip(self.leaf, dist.code_lens)):
-            self.symbol_at[leaf] = idx
-            back_len = depth + 1 - length
-            prev = leaf
+        for idx, path in enumerate(self.cycles):
+            self.symbol_at[path[-1]] = idx
+            back_len = depth + 1 - len(path)
             for _ in range(back_len - 1):
-                edges.append((prev, next_id))
+                edges.append((path[-1], next_id))
                 self.symbol_at[next_id] = idx
-                prev = next_id
+                path.append(next_id)
                 next_id += 1
-            edges.append((prev, 0))
+            edges.append((path[-1], 0))
+            path.append(0)
+        self.cycles = [tuple(path) for path in self.cycles]
         self.graph = Graph(next_id, edges, directed=True)
         self.root = 0
 
@@ -108,44 +112,9 @@ class HuffmanGraph:
 
     def string_to_walk(self, text: str) -> Walk:
         verts = [self.root]
-        paths = self._cycle_paths()
         for ch in text:
-            verts.extend(paths[self.dist.index_of(ch)])
+            verts.extend(self.cycles[self.dist.index_of(ch)])
         return Walk(self.graph, verts)
-
-    def _cycle_paths(self):
-        if not hasattr(self, "_paths"):
-            paths = []
-            for idx in range(len(self.dist.symbols)):
-                path = []
-                u = self.root
-                target = self.leaf[idx]
-                # walk the unique out-edges once the branch is fixed
-                remaining = self.cycle_len
-                path_bits = self._bits_to(target)
-                for v in path_bits:
-                    path.append(v)
-                while len(path) < remaining:
-                    u = path[-1]
-                    succ = self.graph.successors(u)
-                    path.append(succ[0])
-                paths.append(tuple(path))
-            self._paths = paths
-        return self._paths
-
-    def _bits_to(self, leaf: int) -> list:
-        # root-to-leaf vertices, excluding the root
-        parent = {}
-        for u in range(self.graph.k):
-            for v in self.graph.successors(u):
-                if v not in parent:
-                    parent[v] = u
-        chain = []
-        v = leaf
-        while v != self.root:
-            chain.append(v)
-            v = parent[v]
-        return list(reversed(chain))
 
     def walk_to_string(self, walk: Walk) -> str:
         cl = self.cycle_len

@@ -18,11 +18,12 @@ All slicing arithmetic is exact; the slice of a code K among s groups is
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from .bitpack import RadixSpec, SuccinctArray, normalize_strategy
-from .codec import CodecTables, WalkCode, decode_vertex, encode_walk
+from .codec import CodecTables, encode_walk
 from .errors import (
     FormatError,
     InvalidWalkError,
@@ -37,6 +38,18 @@ from .store import WalkStore, pack_vertices
 
 def _cdiv(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _group_counts(counts: CountTable, n: int, half: int) -> tuple:
+    """(s, t): s_x = floor(n^2 * share of the length-``half`` walks that
+    leave x), and t_x the same for the walks that enter x."""
+    total = counts.total(half)
+    if total == 0:
+        raise ParameterError(f"graph has no length-{half} walks")
+    nn = n * n
+    k = counts.graph.k
+    return ([counts.row_total(x, half) * nn // total for x in range(k)],
+            [counts.col_total(x, half) * nn // total for x in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +73,7 @@ class BundleTable:
         self.n = n
         self.half_len = half_len
         self.counts = counts if counts is not None else graph.counts()
-        total = self.counts.total(half_len)
-        if total == 0:
-            raise ParameterError(f"graph has no length-{half_len} walks")
-        nn = n * n
-        k = graph.k
-        self.groups_out = [self.counts.row_total(x, half_len) * nn // total for x in range(k)]
-        self.groups_in = [self.counts.col_total(x, half_len) * nn // total for x in range(k)]
+        self.groups_out, self.groups_in = _group_counts(self.counts, n, half_len)
         if min(self.groups_out) < 1 or min(self.groups_in) < 1:
             raise ParameterError(
                 f"a vertex gets zero groups at half-block {half_len}; increase it"
@@ -210,45 +217,39 @@ def _half_block_cap(n: int) -> int:
 def choose_half_block(g: Graph, n: int) -> int | None:
     """Smallest half-block length meeting the exact admissibility conditions.
 
-    (i) every vertex gets at least one group; (ii) every pairwise count is
-    at least n^2 times the group counts it is sliced by, so each slice holds
-    >= n^2 codes; (iii) the count-to-group ratios at full-block distance are
-    uniform within a factor 1 + 4/n^2.  Returns None (plain mode) when no
-    length up to n/4, capped at mixing scale O(lg n), qualifies.
+    With s_x, t_x the group counts of BundleTable and A^L the length-L walk
+    counts:
+
+    (i) every vertex gets at least one group, s_x >= 1 and t_x >= 1;
+    (ii) every pairwise count is at least n^2 times the group counts it is
+    sliced by, A^half[x][y] >= n^2 max(s_x, t_y), so each slice holds
+    >= n^2 codes;
+    (iii) the count-to-group ratios A^(2 half)[x][x'] / (s_x t_x') at
+    full-block distance agree within a factor 1 + 1/n: the largest is at
+    most 1 + 1/n times the smallest, compared as exact fractions.
+
+    Condition (iii) only guards space.  Each block's triple is stored at
+    the triple radix, the maximum of the context counts over every
+    (x, x'), so a spread eps between the ratios costs at most lg(1 + eps)
+    bits per block, m lg(1 + eps) over the m < n blocks.  eps = 1/n keeps
+    that below n lg(1 + 1/n) < lg e ~ 1.44 bits for the whole walk.
+
+    Returns None (plain mode) when no length up to n/4, capped at mixing
+    scale O(lg n), qualifies.
     """
     counts = g.counts()
     k = g.k
     nn = n * n
     for half in range(1, _half_block_cap(n) + 1):
-        total = counts.total(half)
-        s = [counts.row_total(x, half) * nn // total for x in range(k)]
-        t = [counts.col_total(x, half) * nn // total for x in range(k)]
+        s, t = _group_counts(counts, n, half)
         if min(s) < 1 or min(t) < 1:
             continue
         mat = counts.power(half)
-        ok = True
-        for x in range(k):
-            for y in range(k):
-                if mat[x][y] < nn * s[x] or mat[x][y] < nn * t[y]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(mat[x][y] < nn * max(s[x], t[y]) for x in range(k) for y in range(k)):
             continue
         two = counts.power(2 * half)
-        ratios = [
-            (two[x][xn], s[x] * t[xn]) for x in range(k) for xn in range(k)
-        ]
-        for num1, den1 in ratios:
-            for num2, den2 in ratios:
-                # num1/den1 <= (num2/den2) * (1 + 4/n^2), exactly
-                if num1 * den2 * nn > num2 * den1 * (nn + 4):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        ratios = [Fraction(two[x][xn], s[x] * t[xn]) for x in range(k) for xn in range(k)]
+        if max(ratios) * n <= min(ratios) * (n + 1):
             return half
     return None
 
@@ -359,11 +360,12 @@ class GeneralStore(WalkStore):
         mid, k_out, k_in = self.table.triple_unrank(x, slice_out, x_next, slice_in, rank)
         if offset == L:
             return mid
+        # offset is interior to its half-block, where decode checks the code
         if offset < L:
             code = self.table.code_of(slice_out, k_out, x, mid, "out")
-            return decode_vertex(self.tables, WalkCode(code, x, mid, L), offset)
+            return self.tables.decode(x, mid, L, code, offset)[0]
         code = self.table.code_of(slice_in, k_in, x_next, mid, "in")
-        return decode_vertex(self.tables, WalkCode(code, mid, x_next, L), offset - L)
+        return self.tables.decode(mid, x_next, L, code, offset - L)[0]
 
     # -- accounting -------------------------------------------------------------
 
@@ -424,16 +426,16 @@ def _bundle_spec(table: BundleTable, m: int) -> RadixSpec:
 
 
 def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) -> GeneralStore:
-    """Bundled store; falls back to plain packing when the walk is shorter
-    than two full blocks."""
+    """Bundled store; falls back to plain packing when no half-block length
+    up to the cap is admissible (always so below two full blocks)."""
     info = analyze(g)
     if not (info.is_strongly_connected and info.is_aperiodic):
         raise UnsupportedGraphError(
             "core general store needs a strongly connected aperiodic graph"
         )
     n = w.length
-    half = choose_half_block(g, n) if n >= 4 else None
-    if half is None or n < 4 * half:
+    half = choose_half_block(g, n)
+    if half is None:
         return GeneralStore.build_plain(g, w, branching)
     table = BundleTable(g, n, half)
     tables = CodecTables(g, branching=branching)

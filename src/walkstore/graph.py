@@ -57,12 +57,6 @@ class Graph:
     def successors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
 
-    def predecessors(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u][v])
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Canonical edge list: sorted, one entry per undirected edge."""
         edges = []

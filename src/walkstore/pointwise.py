@@ -30,7 +30,6 @@ child tables, so the size-(n+1) table is never built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FormatError, InvalidWalkError, ParameterError, RangeError
 from .fileio import Cursor, write_varbig, write_varint
@@ -44,13 +43,6 @@ except ImportError:  # pragma: no cover - gmpy2 is the optional 'fast' extra
 
 # Plain dict convolution below this many coefficient pairs.
 _KRONECKER_CUTOFF = 1024
-
-
-@dataclass(frozen=True)
-class NodeLabel:
-    first: int
-    last: int
-    cost: int
 
 
 def _step_cost(deg: int, precision: int) -> int:
@@ -79,14 +71,6 @@ class LabelCounts:
 
     def split(self, size: int) -> tuple:
         return (size + 1) // 2, size // 2
-
-    def label_of(self, verts) -> NodeLabel:
-        cost = 0
-        for i in range(len(verts) - 1):
-            if not self.graph.adj[verts[i]][verts[i + 1]]:
-                raise InvalidWalkError(f"({verts[i]},{verts[i + 1]}) is not an edge")
-            cost += self.costs[verts[i]]
-        return NodeLabel(verts[0], verts[-1], cost)
 
     def count_map(self, size: int, x: int, y: int) -> dict:
         key = (size, x, y)
@@ -135,11 +119,6 @@ class LabelCounts:
         target = total - self.costs[u]
         return sum(nl * right.get(target - sl, 0) for sl, nl in left.items()
                    if below is None or sl < below)
-
-    def count_root(self, size: int, cost: int) -> int:
-        """Count with free endpoints (root labels carry only the cost sum)."""
-        k = self.graph.k
-        return sum(self.count(size, x, y, cost) for x in range(k) for y in range(k))
 
     # -- convolution ------------------------------------------------------------
 
@@ -364,14 +343,3 @@ def build_pointwise(g: Graph, w: Walk, precision: int | None = None,
         cum[n], rank0, engine,
     )
 
-
-def walk_from_rank(g: Graph, n: int, first: int, last: int, cost: int,
-                   rank0: int, precision: int | None = None) -> Walk:
-    """Full unranking; inverse of build_pointwise for a fixed root label."""
-    store = PointwiseStore(
-        g, n, n if precision is None else precision, 2, first, last, cost, rank0
-    )
-    total = store.root_count
-    if not 0 <= rank0 < max(total, 1):
-        raise RangeError(f"rank {rank0} outside [0,{total})")
-    return store.decode_walk()

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitpack import AppendableArray, RadixSpec, SuccinctArray, normalize_strategy
-from .codec import CodecTables, WalkCode, decode_vertex, encode_walk
+from .codec import CodecTables, encode_walk
 from .errors import (
     FormatError,
     InvalidWalkError,
-    ParameterError,
     RangeError,
     UnsupportedGraphError,
     UnsupportedOperationError,
@@ -51,13 +50,19 @@ def _scan_cap(n: int) -> int:
     return 64 * max(1, (max(n, 2) - 1).bit_length())
 
 
+def _block_radix(g: Graph, n: int, l: int) -> int:
+    """floor((1/|G| + 1/n^2) d^l), in integers."""
+    nn = n * n
+    return ((nn + g.k) * g.out_deg[0] ** l) // (g.k * nn)
+
+
 def choose_l(g: Graph, n: int) -> int | None:
     """Smallest block length l whose walk counts all fit the block radix.
 
-    Returns None when no l below n/2 (or the mixing-scale cap) works; the
+    Returns None when no l up to n/2 (or the mixing-scale cap) works; the
     caller then stores plainly.  The admissibility test
-    max_xy N_l(x,y) <= (1/|G| + 1/n^2) d^l runs on cross-multiplied
-    integers, never floats.
+    max_xy N_l(x,y) <= (1/|G| + 1/n^2) d^l compares an integer count with
+    the floor of the bound, which is exact: N <= X/D iff N <= floor(X/D).
     """
     reason = unsuitable_reason(g)
     if reason is not None:
@@ -65,17 +70,8 @@ def choose_l(g: Graph, n: int) -> int | None:
     if n < 1:
         raise RangeError("walk length must be >= 1")
     counts = g.counts()
-    d = g.out_deg[0]
-    k = g.k
-    nn = n * n
-    power = 1
-    for l in range(1, min(max(1, (n + 1) // 2), _scan_cap(n)) + 1):
-        if 2 * l > n:
-            return None
-        power *= d
-        num = (nn + k) * power
-        mat = counts.power(l)
-        if all(mat[x][y] * k * nn <= num for x in range(k) for y in range(k)):
+    for l in range(1, min(n // 2, _scan_cap(n)) + 1):
+        if max(max(row) for row in counts.power(l)) <= _block_radix(g, n, l):
             return l
     return None
 
@@ -91,23 +87,13 @@ class RegularLayout:
 
 
 def _layout_for(g: Graph, n: int, l: int) -> RegularLayout:
-    d = g.out_deg[0]
     m, rem = divmod(n, l)
-    block_radix = ((n * n + g.k) * d**l) // (g.k * n * n)
     rem_radix = 0
     if rem:
         mat = g.counts().power(rem)
         rem_radix = max(max(row) for row in mat)
-    return RegularLayout(n=n, l=l, m=m, rem=rem, block_radix=block_radix, rem_radix=rem_radix)
-
-
-def _check_admissible(g: Graph, layout: RegularLayout):
-    mat = g.counts().power(layout.l)
-    worst = max(max(row) for row in mat)
-    if worst > layout.block_radix:
-        raise ParameterError(
-            f"block radix {layout.block_radix} below max count {worst}"
-        )
+    return RegularLayout(n=n, l=l, m=m, rem=rem, block_radix=_block_radix(g, n, l),
+                         rem_radix=rem_radix)
 
 
 def _block_spec(g: Graph, layout: RegularLayout) -> RadixSpec:
@@ -122,7 +108,11 @@ def _milestone_spec(g: Graph, layout: RegularLayout) -> RadixSpec:
 
 
 class RegularStore(WalkStore):
-    """Immutable encoded walk over a regular graph; query with vertex_at."""
+    """Encoded walk over a regular graph; query with vertex_at.
+
+    The arrays are SuccinctArrays, or the AppendableArrays of a
+    RegularStoreBuilder that reads its flushed blocks through this class.
+    """
 
     MAGIC = b"RWR1"
     MODE = "regular"
@@ -149,12 +139,13 @@ class RegularStore(WalkStore):
             return self.milestones.get(i // lay.l, probes)
         if i == lay.n:
             return self.milestones.get(lay.m + 1, probes)
-        b = min(i // lay.l, lay.m - 1) if i < lay.m * lay.l else lay.m
+        b = i // lay.l  # block m is the remainder block
         x = self.milestones.get(b, probes)
         y = self.milestones.get(b + 1, probes)
         length = lay.l if b < lay.m else lay.rem
-        code = WalkCode(self.blocks.get(b, probes) + 1, x, y, length)
-        return decode_vertex(self.tables, code, i - b * lay.l)
+        # an interior position: decode raises RangeError for a code outside
+        # [1, N_length(x, y)]
+        return self.tables.decode(x, y, length, self.blocks.get(b, probes) + 1, i - b * lay.l)[0]
 
     @property
     def payload_bits(self) -> int:
@@ -206,10 +197,9 @@ def build_regular(g: Graph, w: Walk, strategy="spill_tree", branching: int = 2) 
         raise InvalidWalkError("walk was built on a different graph")
     n = w.length
     l = choose_l(g, n) if n >= 1 else None
-    if l is None or n < 2 * l:
+    if l is None:
         return RegularStore.build_plain(g, w, branching)
     layout = _layout_for(g, n, l)
-    _check_admissible(g, layout)
     tables = CodecTables(g, branching=branching)
     ms_values = [w.verts[i * l] for i in range(layout.m + 1)]
     if layout.rem:
@@ -236,8 +226,9 @@ class RegularStoreBuilder:
     The final walk length must be declared up front since the block radix
     depends on it.  After the last append, ``finalize()`` yields a store
     whose payload is byte-identical to a batch build with the same
-    parameters.  Queries between appends serve flushed blocks from the
-    arrays and the unflushed tail from a small buffer.
+    parameters.  Queries between appends serve the unflushed tail from a
+    small buffer and every flushed position through a RegularStore over
+    the builder's appendable arrays.
     """
 
     def __init__(self, g: Graph, n: int, branching: int = 2, strategy="blocked"):
@@ -246,27 +237,23 @@ class RegularStoreBuilder:
             raise UnsupportedOperationError("online mode needs an appendable strategy")
         self.graph = g
         self.n = n
-        self.branching = branching
-        self.tables = CodecTables(g, branching=branching)
         self.count = 0
         self.pending = []
         l = choose_l(g, n) if n >= 1 else None
-        if l is None or n < 2 * l:
-            self.layout = None
-            self.plain = AppendableArray(lambda i: g.k, "packed")
-            self.milestones = None
-            self.blocks = None
+        self.layout = lay = None if l is None else _layout_for(g, n, l)
+        if lay is None:
+            arr = AppendableArray(lambda i: g.k, "packed")
+            self.store = RegularStore(g, n, arr.strategy, branching, plain=arr)
             return
-        self.layout = _layout_for(g, n, l)
-        _check_admissible(g, self.layout)
-        self.plain = None
-        lay = self.layout
-        ms_strategy = normalize_strategy(strategy, _milestone_spec(g, lay))
-        blk_strategy = normalize_strategy(strategy, _block_spec(g, lay))
-        self.milestones = AppendableArray(lambda i: g.k, ms_strategy)
-        self.blocks = AppendableArray(
-            lambda i: lay.block_radix if i < lay.m else lay.rem_radix, blk_strategy
+        milestones = AppendableArray(
+            lambda i: g.k, normalize_strategy(strategy, _milestone_spec(g, lay))
         )
+        blocks = AppendableArray(
+            lambda i: lay.block_radix if i < lay.m else lay.rem_radix,
+            normalize_strategy(strategy, _block_spec(g, lay)),
+        )
+        self.store = RegularStore(g, n, blocks.strategy, branching, layout=lay,
+                                  milestones=milestones, blocks=blocks)
 
     def append(self, v: int) -> None:
         if self.count > self.n:
@@ -275,8 +262,9 @@ class RegularStoreBuilder:
             raise InvalidWalkError(f"vertex {v} outside [0,{self.graph.k})")
         if self.pending and not self.graph.adj[self.pending[-1]][v]:
             raise InvalidWalkError(f"({self.pending[-1]},{v}) is not an edge")
-        if self.plain is not None:
-            self.plain.append(v)
+        store = self.store
+        if store.plain is not None:
+            store.plain.append(v)
             self.count += 1
             self.pending = [v]
             return
@@ -284,47 +272,34 @@ class RegularStoreBuilder:
         self.count += 1
         lay = self.layout
         if pos == 0:
-            self.milestones.append(v)
+            store.milestones.append(v)
             self.pending = [v]
             return
         self.pending.append(v)
-        if pos % lay.l == 0 and pos <= lay.m * lay.l:
-            self.milestones.append(v)
-            self.blocks.append(encode_walk(self.tables, self.pending).value - 1)
-            self.pending = [v]
-        elif pos == lay.n and lay.rem:
-            self.milestones.append(v)
-            self.blocks.append(encode_walk(self.tables, self.pending).value - 1)
+        if (pos % lay.l == 0 and pos <= lay.m * lay.l) or (pos == lay.n and lay.rem):
+            store.milestones.append(v)
+            store.blocks.append(encode_walk(store.tables, self.pending).value - 1)
             self.pending = [v]
 
     def vertex_at(self, i: int) -> int:
         if not 0 <= i < self.count:
             raise RangeError(f"index {i} outside appended range [0,{self.count})")
-        if self.plain is not None:
-            return self.plain.get(i)
-        lay = self.layout
-        flushed_through = (self.count - len(self.pending)) if self.pending else self.count
+        flushed_through = self.count - len(self.pending)
         if i >= flushed_through:
             return self.pending[i - flushed_through]
-        if i % lay.l == 0 and i <= lay.m * lay.l:
-            return self.milestones.get(i // lay.l)
-        b = i // lay.l
-        x = self.milestones.get(b)
-        y = self.milestones.get(b + 1)
-        code = WalkCode(self.blocks.get(b) + 1, x, y, lay.rem if b == lay.m else lay.l)
-        return decode_vertex(self.tables, code, i - b * lay.l)
+        return self.store.vertex_at(i)
 
     def finalize(self) -> RegularStore:
         if self.count != self.n + 1:
             raise InvalidWalkError(
                 f"appended {self.count} vertices, declared walk needs {self.n + 1}"
             )
-        if self.plain is not None:
-            arr = self.plain.finalize()
-            return RegularStore(self.graph, self.n, arr.strategy, self.branching, plain=arr)
-        ms = self.milestones.finalize()
-        blocks = self.blocks.finalize()
+        store = self.store
+        if store.plain is not None:
+            arr = store.plain.finalize()
+            return RegularStore(self.graph, self.n, arr.strategy, store.branching, plain=arr)
+        blocks = store.blocks.finalize()
         return RegularStore(
-            self.graph, self.n, blocks.strategy, self.branching,
-            layout=self.layout, milestones=ms, blocks=blocks, tables=self.tables,
+            self.graph, self.n, blocks.strategy, store.branching, layout=self.layout,
+            milestones=store.milestones.finalize(), blocks=blocks, tables=store.tables,
         )

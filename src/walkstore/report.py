@@ -14,6 +14,7 @@ from .graph import Walk, benchmark_pointwise_bits, benchmark_worstcase_bits
 class SpaceReport:
     mode: str
     strategy: str
+    plain: bool  # the plain fallback: no block length up to the cap is admissible
     n: int
     payload_bits: int
     header_bits: int
@@ -62,7 +63,6 @@ def measure_queries_per_second(store, sample: int = 2000, seed: int = 1) -> floa
 def build_report(store, mode: str, walk: Walk | None = None,
                  build_seconds: float | None = None,
                  file_bytes: int | None = None,
-                 with_probes: bool = True,
                  with_throughput: bool = False) -> SpaceReport:
     g = store.graph
     n = store.n
@@ -72,15 +72,14 @@ def build_report(store, mode: str, walk: Walk | None = None,
         walk = store.decode_walk()
     if walk is not None:
         pw = benchmark_pointwise_bits(walk)
-    pmin = pavg = pmax = None
-    if with_probes:
-        pmin, pavg, pmax = probe_sample(store)
+    pmin, pavg, pmax = probe_sample(store)
     qps = measure_queries_per_second(store) if with_throughput else None
     strategy = getattr(store, "strategy", None)
     strategy_name = strategy[0] if isinstance(strategy, tuple) else str(strategy)
     return SpaceReport(
         mode=mode,
         strategy=strategy_name,
+        plain=store.is_plain,
         n=n,
         payload_bits=store.payload_bits,
         header_bits=store.header_bits,

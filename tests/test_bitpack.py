@@ -11,8 +11,6 @@ from walkstore.bitpack import (
     RadixSpec,
     SuccinctArray,
     _SpillLayout,
-    mixed_radix_rank,
-    mixed_radix_unrank,
     normalize_strategy,
 )
 from walkstore.errors import (
@@ -115,40 +113,6 @@ def test_bitvec_bytes_roundtrip():
     raw = bytes(rng.randrange(256) for _ in range(9))
     assert BitVec.from_bytes(raw, 72).to_bytes() == raw
     assert BitVec.from_bytes(raw, 72).read(60, 12) == int.from_bytes(raw, "little") >> 60
-
-
-def test_mixed_radix_examples():
-    spec = RadixSpec((3, 3, 3))
-    assert mixed_radix_rank([0, 1, 2], spec) == 5
-    assert mixed_radix_rank([0, 0, 0], spec) == 0
-    assert mixed_radix_rank([2, 2, 2], spec) == 26
-    assert mixed_radix_unrank(5, spec) == [0, 1, 2]
-    assert mixed_radix_unrank(0, spec) == [0, 0, 0]
-    assert mixed_radix_unrank(12, RadixSpec((13,))) == [12]
-
-
-def test_mixed_radix_range_errors():
-    spec = RadixSpec((3, 4))
-    with pytest.raises(RangeError):
-        mixed_radix_rank([3, 0], spec)
-    with pytest.raises(RangeError):
-        mixed_radix_unrank(12, spec)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_mixed_radix_bijection_exhaustive(seed):
-    rng = random.Random(seed)
-    while True:
-        radices = tuple(rng.randrange(1, 9) for _ in range(rng.randrange(1, 7)))
-        spec = RadixSpec(radices)
-        if spec.product() <= 10**5:
-            break
-    seen = set()
-    for v in range(spec.product()):
-        vals = mixed_radix_unrank(v, spec)
-        assert mixed_radix_rank(vals, spec) == v
-        seen.add(tuple(vals))
-    assert len(seen) == spec.product()
 
 
 def test_info_bits():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from golden_corpus import GOLDEN_DIR
 from walkstore.cli import main
 from walkstore.fileio import dist_to_json, save_graph, save_walk
 from walkstore.graph import Graph, complete, gen_walk, triangle
@@ -33,6 +34,7 @@ def test_encode_query_stats(workspace, capsys, tmp_path):
     report = json.loads(out)
     assert report["mode"] == "regular"
     assert report["payload_bits"] >= 1
+    assert report["plain"] is False
 
     code, out, err = run(
         ["query", str(ws / "s.rws"), "--index", "0", "--index", "5", "--probe-stats"],
@@ -47,6 +49,17 @@ def test_encode_query_stats(workspace, capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["benchmark_pointwise_bits"] is not None
+
+
+@pytest.mark.parametrize(
+    "name, plain",
+    [("regular_plain", True), ("general_plain", True), ("regular_blocked", False),
+     ("general_blocked", False)],
+)
+def test_stats_reports_the_plain_fallback(capsys, name, plain):
+    code, out, _ = run(["stats", str(GOLDEN_DIR / f"{name}.bin")], capsys)
+    assert code == 0
+    assert json.loads(out)["plain"] is plain
 
 
 def test_query_positional_indices(workspace, capsys):

@@ -10,7 +10,6 @@ from walkstore.codec import (
     decode_vertex,
     encode_walk,
     global_rank,
-    predecessor_monotone,
     walk_from_global_rank,
 )
 from walkstore.errors import InvalidWalkError, RangeError
@@ -109,31 +108,6 @@ def test_invalid_inputs(fib):
         decode_vertex(t, WalkCode(4, 0, 0, 3), 0)  # N_3(0,0) = 3
     with pytest.raises(RangeError):
         decode_vertex(t, WalkCode(1, 0, 0, 3), 4)
-
-
-def test_predecessor_examples():
-    assert predecessor_monotone([2, 5, 9, 14], 6) == 2
-    for key in range(1, 8):
-        assert predecessor_monotone([7], key) == 0
-    with pytest.raises(RangeError):
-        predecessor_monotone([2, 5], 6)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_predecessor_random_vs_oracle(seed):
-    rng = random.Random(seed)
-    gaps = sorted(rng.randrange(1, 50) for _ in range(rng.randrange(1, 4096)))
-    prefix = []
-    acc = 0
-    for gap in gaps:
-        acc += gap
-        prefix.append(acc)
-    for _ in range(200):
-        key = rng.randrange(1, acc + 1)
-        import bisect
-
-        expect = bisect.bisect_left(prefix, key)
-        assert predecessor_monotone(prefix, key) == expect
 
 
 def test_global_rank_identity(c3, fib):

@@ -23,11 +23,14 @@ from walkstore.general import (
     wrap_scc,
 )
 from walkstore.graph import (
+    CountTable,
     Graph,
     Walk,
+    analyze,
     benchmark_worstcase_bits,
     directed_cycle,
     gen_walk,
+    log2_int,
 )
 from walkstore.storefile import store_from_bytes
 
@@ -173,10 +176,83 @@ def test_tail_rank_roundtrip(fib):
 
 
 def test_choose_half_block_scales(fib):
-    h = choose_half_block(fib, 2**12)
-    assert h is not None
+    assert [choose_half_block(fib, 2**e) for e in (12, 16, 18, 20)] == [70, 93, 105, 116]
     # small walks have no admissible half-block
     assert choose_half_block(fib, 16) is None
+
+
+def _dense_digraph(k, seed):
+    """A strongly connected aperiodic digraph, each edge kept with
+    probability 1/2 (drawn again until the graph qualifies)."""
+    rng = random.Random(seed)
+    while True:
+        edges = [(u, v) for u in range(k) for v in range(k) if rng.random() < 0.5]
+        if edges:
+            g = Graph(k, edges, directed=True)
+            info = analyze(g)
+            if info.is_strongly_connected and info.is_aperiodic:
+                return g
+
+
+def _half_block_reference(g, n):
+    """choose_half_block as its docstring states it, pair by pair:
+    (half, s, t) for the first admissible half-block, or None."""
+    counts = g.counts()
+    k, nn = g.k, n * n
+    for half in range(1, min(n // 4, 64 * max(1, (n - 1).bit_length())) + 1):
+        total = counts.total(half)
+        s = [counts.row_total(x, half) * nn // total for x in range(k)]
+        t = [counts.col_total(x, half) * nn // total for x in range(k)]
+        if min(s) < 1 or min(t) < 1:  # (i)
+            continue
+        a = counts.power(half)
+        if not all(a[x][y] >= nn * s[x] and a[x][y] >= nn * t[y]
+                   for x in range(k) for y in range(k)):  # (ii)
+            continue
+        two = counts.power(2 * half)
+        ratios = [(two[x][xn], s[x] * t[xn]) for x in range(k) for xn in range(k)]
+        # (iii): every ratio at most 1 + 1/n times every other, cross-multiplied
+        if all(p * d * n <= q * c * (n + 1) for p, c in ratios for q, d in ratios):
+            return half, s, t
+    return None
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_choose_half_block_matches_pairwise_reference(k):
+    graphs = [_dense_digraph(k, 100 * k + seed) for seed in range(3)]
+    if k == 6:
+        # a slowly mixing 6-cycle with one chord, where (iii) decides: with
+        # a tolerance of 1 + 1/(2n) the half-block would grow from 266 to 284
+        # at n = 2^12
+        graphs.append(Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 2)], directed=True))
+    for n in (2**8, 2**12):
+        for g in graphs:
+            ref = _half_block_reference(g, n)
+            half = choose_half_block(g, n)
+            assert half == (ref[0] if ref else None), (g, n)
+            if ref:
+                table = BundleTable(g, n, half)
+                assert (table.groups_out, table.groups_in) == (ref[1], ref[2])
+
+
+@pytest.mark.parametrize("k", [3, 5, 8, 12, 16])
+def test_general_store_bundles_dense_digraphs(k):
+    """The general store within lg kappa + O(lg n) on strongly connected
+    aperiodic digraphs beyond Fibonacci: A3's budget of 96 + 8 lg n."""
+    g = _dense_digraph(k, k)
+    for e in (12, 14):
+        n = 2**e
+        w = gen_walk(g, n, seed=k)
+        store = build_general_core(g, w)
+        assert not store.is_plain, (k, n)
+        # lg kappa from the all-ones recurrence: benchmark_worstcase_bits at
+        # n <= COUNT_MEMO_LIMIT would fill the dense memo with all n powers
+        # of A, about 0.9 GB at k = 16
+        lg_kappa = log2_int(CountTable(g, memo_limit=0).total(n))
+        assert store.payload_bits <= lg_kappa + 96 + 8 * e, (k, n)
+        rng = random.Random(e)
+        for q in rng.sample(range(n + 1), 300):
+            assert store.vertex_at(q) == w.verts[q]
 
 
 def test_core_roundtrip_fib_small_real_mode(fib):

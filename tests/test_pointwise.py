@@ -20,18 +20,20 @@ from walkstore.graph import (
 )
 from walkstore.pointwise import (
     LabelCounts,
-    NodeLabel,
     PointwiseStore,
     build_pointwise,
-    walk_from_rank,
 )
 from walkstore.report import build_report
 
 
 def test_label_examples(k4, fib):
-    assert LabelCounts(k4, 2).label_of((0, 1, 2)) == NodeLabel(0, 2, 8)
-    assert LabelCounts(k4, 2).label_of((3,)) == NodeLabel(3, 3, 0)
-    assert LabelCounts(fib, 4).label_of((0, 1, 0)) == NodeLabel(0, 0, 4)
+    def root_label(g, verts, precision):
+        store = build_pointwise(g, Walk(g, verts), precision=precision)
+        return store.first, store.last, store.cost
+
+    assert root_label(k4, (0, 1, 2), 2) == (0, 2, 8)
+    assert root_label(k4, (3,), 2) == (3, 3, 0)
+    assert root_label(fib, (0, 1, 0), 4) == (0, 0, 4)
 
 
 def test_count_labeled_base(fib):
@@ -42,8 +44,9 @@ def test_count_labeled_base(fib):
     assert engine.count(2, 0, 0, 4) == 1
     assert engine.count(2, 0, 0, 3) == 0
     # free endpoints: (0,0) and (0,1) cost P, (1,0) costs nothing
-    assert engine.count_root(2, 4) == 2
-    assert engine.count_root(2, 0) == 1
+    ends = [(x, y) for x in range(fib.k) for y in range(fib.k)]
+    assert sum(engine.count(2, x, y, 4) for x, y in ends) == 2
+    assert sum(engine.count(2, x, y, 0) for x, y in ends) == 1
 
 
 @pytest.mark.parametrize("gname", ["fib", "c3", "k4"])
@@ -145,7 +148,7 @@ def test_unrank_rank_identity(fib, c3):
                 for y in range(g.k):
                     for cost, total in engine.count_map(n + 1, x, y).items():
                         for r in range(total):
-                            w = walk_from_rank(g, n, x, y, cost, r)
+                            w = PointwiseStore(g, n, n, 2, x, y, cost, r, engine).decode_walk()
                             back = build_pointwise(g, w)
                             assert back.rank0 == r
 
@@ -223,8 +226,11 @@ def test_branching_other_than_two_rejected(fib):
 
 
 def test_rank_out_of_range(fib):
+    store = PointwiseStore(fib, 4, 4, 2, 0, 0, 10**9, 10**9)
     with pytest.raises(RangeError):
-        walk_from_rank(fib, 4, 0, 0, 10**9, 10**9)
+        store.vertex_at(0)
+    with pytest.raises(RangeError):
+        store.decode_walk()
 
 
 def _body(n=4, precision=4, branching=2, first=0, last=0, cost=12, rank0=1):

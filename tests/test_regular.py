@@ -170,7 +170,7 @@ def test_online_reads_remainder_block_before_finalize(k4):
         assert online.vertex_at(i) == w.verts[i]
 
 
-def test_online_buffer_queries(c3):
+def test_online_buffer_queries(c3, k4):
     w = gen_walk(c3, 50, seed=31)
     online = RegularStoreBuilder(c3, 50)
     online.append(w.verts[0])
@@ -180,6 +180,18 @@ def test_online_buffer_queries(c3):
     for v in w.verts[2:]:
         online.append(v)
         assert online.vertex_at(online.count - 1) == v
+    # every appended position after every append, buffered and flushed,
+    # through a remainder block: K4 at n = 125 has l = 9 and rem = 8
+    n = 125
+    w = gen_walk(k4, n, seed=7)
+    for branching in (2, 3):
+        for strategy in ("packed", "blocked"):
+            online = RegularStoreBuilder(k4, n, branching=branching, strategy=strategy)
+            assert (online.layout.l, online.layout.rem) == (9, 8)
+            for count, v in enumerate(w.verts, 1):
+                online.append(v)
+                got = [online.vertex_at(i) for i in range(count)]
+                assert got == list(w.verts[:count]), (branching, strategy, count)
 
 
 def test_online_rejects_non_edge(c3):
