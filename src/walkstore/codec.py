@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .config import CODEC_TUPLE_CAP
@@ -66,6 +67,8 @@ class CodecTables:
         self.counts = count_table if count_table is not None else graph.counts()
         self._dirs = {}
         self._bounds = {}
+        self._plans = {}
+        self.vertices = frozenset(range(graph.k))
 
     def segment_bounds(self, l: int):
         """Split positions 0 = b_0 <= ... <= b_B = l with b_i = floor(i*l/B)."""
@@ -133,24 +136,41 @@ class CodecTables:
 
     # -- encoding ------------------------------------------------------------
 
-    def _encode(self, verts, lo: int, hi: int) -> int:
-        l = hi - lo
-        if l <= 1:
-            return 1
-        x, y = verts[lo], verts[hi]
-        bounds = self.segment_bounds(l)
-        tup = tuple(verts[lo + b] for b in bounds[1:-1])
-        directory = self.directory(x, y, l)
-        z = directory.index.get(tup)
-        if z is None:
-            raise InvalidWalkError(f"no walks pass through {tup} between {x} and {y}")
-        counts = directory.seg_counts[z]
-        rank = 0
-        for i in range(self.branching):
-            k_i = self._encode(verts, lo + bounds[i], lo + bounds[i + 1])
-            rank = rank * counts[i] + (k_i - 1)
-        base = directory.prefix[z - 1] if z else 0
-        return base + rank + 1
+    def plan(self, l: int) -> list:
+        """The internal nodes of the length-l split tree in post-order, one
+        ``(pick, length, internal children last first)`` entry each, where
+        ``pick`` takes the node's (x, split vertices..., y) out of a walk.
+        Children of length <= 1 have code 1 and get no entry."""
+        if l not in self._plans:
+            nodes, todo = [], [(0, l)] if l > 1 else []
+            while todo:  # pre-order, children right to left: reversed, post-order
+                lo, n = todo.pop()
+                b = self.segment_bounds(n)
+                inner = [i for i in range(self.branching) if b[i + 1] - b[i] > 1]
+                nodes.append((itemgetter(*(lo + c for c in b)), n, inner[::-1]))
+                todo.extend((lo + b[i], b[i + 1] - b[i]) for i in inner)
+            self._plans[l] = nodes[::-1]
+        return self._plans[l]
+
+    def encode(self, verts: Sequence[int]) -> int:
+        """Rank in [1, N_l(x, y)] of the walk x = verts[0] -> y = verts[-1]:
+        one loop over the plan of l = len(verts) - 1, each node combining
+        the codes of its internal children from a stack."""
+        dirs = self._dirs
+        codes = [1]  # the code of a walk of length <= 1, which has no plan
+        for pick, l, inner in self.plan(len(verts) - 1):
+            ends = pick(verts)
+            x, y = ends[0], ends[-1]
+            directory = dirs.get((x, y, l)) or self.directory(x, y, l)
+            z = directory.index.get(ends[1:-1])
+            if z is None:
+                raise InvalidWalkError(f"no walks pass through {ends[1:-1]} between {x} and {y}")
+            suffix = directory.suffix[z]
+            code = directory.prefix[z - 1] + 1 if z else 1
+            for i in inner:
+                code += (codes.pop() - 1) * suffix[i]
+            codes.append(code)
+        return codes[-1]
 
     # -- decoding ------------------------------------------------------------
 
@@ -201,12 +221,15 @@ class CodecTables:
 
 def _check_segment(tables: CodecTables, verts: Sequence[int]) -> None:
     g = tables.graph
-    for v in verts:
-        if not 0 <= v < g.k:
-            raise InvalidWalkError(f"vertex {v} outside [0,{g.k})")
-    for a, b in zip(verts, verts[1:]):
-        if not g.adj[a][b]:
+    if not tables.vertices.issuperset(verts):
+        v = next(v for v in verts if v not in tables.vertices)
+        raise InvalidWalkError(f"vertex {v} outside [0,{g.k})")
+    adj = g.adj
+    a = verts[0]
+    for b in verts[1:]:
+        if not adj[a][b]:
             raise InvalidWalkError(f"({a},{b}) is not an edge")
+        a = b
 
 
 def encode_walk(tables: CodecTables, verts: Sequence[int]) -> WalkCode:
@@ -215,9 +238,7 @@ def encode_walk(tables: CodecTables, verts: Sequence[int]) -> WalkCode:
     if not verts:
         raise InvalidWalkError("empty segment")
     _check_segment(tables, verts)
-    l = len(verts) - 1
-    value = tables._encode(verts, 0, l)
-    return WalkCode(value=value, x=verts[0], y=verts[-1], l=l)
+    return WalkCode(value=tables.encode(verts), x=verts[0], y=verts[-1], l=len(verts) - 1)
 
 
 def _check_code(tables: CodecTables, code: WalkCode) -> None:
@@ -268,7 +289,7 @@ def global_rank(tables: CodecTables, walk: Walk) -> int:
     pairs, _ = _pair_offsets(tables, n)
     x, y = walk.verts[0], walk.verts[-1]
     offset = next(off for px, py, off in pairs if (px, py) == (x, y))
-    return offset + tables._encode(walk.verts, 0, n)
+    return offset + tables.encode(walk.verts)
 
 
 def walk_from_global_rank(tables: CodecTables, n: int, rank: int) -> Walk:

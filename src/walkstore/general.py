@@ -263,25 +263,27 @@ def tail_rank(counts: CountTable, verts) -> int:
     ordered lexicographically by successor choice; 0-based."""
     g = counts.graph
     length = len(verts) - 1
+    ones = counts.row_totals(length)
     rank = 0
     for step in range(length):
         u, nxt = verts[step], verts[step + 1]
-        remaining = length - 1 - step
+        row = ones[length - 1 - step]
         for w in g.successors(u):
             if w == nxt:
                 break
-            rank += counts.row_total(w, remaining)
+            rank += row[w]
     return rank
 
 
 def tail_vertex(counts: CountTable, start: int, length: int, rank: int, q: int) -> int:
     """Vertex at position q of the rank-th length-``length`` walk from start."""
     g = counts.graph
+    ones = counts.row_totals(length)
     u = start
     for step in range(q):
-        remaining = length - 1 - step
+        row = ones[length - 1 - step]
         for w in g.successors(u):
-            c = counts.row_total(w, remaining)
+            c = row[w]
             if rank < c:
                 u = w
                 break

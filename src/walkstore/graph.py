@@ -126,6 +126,13 @@ class Walk:
         return f"Walk(n={self.length}, verts={self.verts[:8]}{'...' if len(self.verts) > 8 else ''})"
 
 
+def _check_length(l: int) -> None:
+    if l < 0:
+        raise RangeError("walk length must be >= 0")
+    if l > MAX_WALK_LENGTH:
+        raise ResourceError(f"walk length {l} beyond configured max {MAX_WALK_LENGTH}")
+
+
 def _identity(k: int):
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
@@ -142,7 +149,9 @@ class CountTable:
     """Exact walk counts: powers A^l of the adjacency matrix and A^l·1.
 
     N_l(x, y) = A^l[x][y] is the number of length-l walks from x to y.
-    Lengths up to ``memo_limit`` are kept in a dense list.  Beyond it,
+    Matrices A^l and vectors A^l·1 are kept in dense lists, each entry one
+    step from the last, up to length ``memo_limit`` (``row_totals`` takes
+    the vectors further when asked).  Beyond it,
     ``power`` recombines cached power-of-two squares, while ``total`` and
     ``row_total`` need only A^l·1: they reduce x^l modulo the minimal
     recurrence of the all-ones vector and combine its Krylov vectors, with
@@ -153,14 +162,12 @@ class CountTable:
         self.graph = graph
         self.memo_limit = memo_limit
         self._seq = [_identity(graph.k)]
+        self._ones = [(1,) * graph.k]
         self._pow2 = {}
         self._recurrence = None
 
     def power(self, l: int):
-        if l < 0:
-            raise RangeError("walk length must be >= 0")
-        if l > MAX_WALK_LENGTH:
-            raise ResourceError(f"walk length {l} beyond configured max {MAX_WALK_LENGTH}")
+        _check_length(l)
         if l < len(self._seq):
             return self._seq[l]
         if l <= self.memo_limit:
@@ -198,10 +205,23 @@ class CountTable:
             j += 1
         return result if result is not None else _identity(self.graph.k)
 
-    def _ones_power(self, l: int) -> list:
+    def row_totals(self, l: int) -> list:
+        """[A^0·1, A^1·1, ...] through at least A^l·1, whatever the memo
+        limit: a free-end tail of length l reads every length below it."""
+        _check_length(l)
+        ones = self._ones
+        if len(ones) <= l:
+            out = self.graph._out
+            u = ones[-1]
+            while len(ones) <= l:
+                u = tuple(sum(u[w] for w in succ) for succ in out)
+                ones.append(u)
+        return ones
+
+    def _ones_power(self, l: int):
         """A^l·1: the number of length-l walks from each vertex."""
-        if not self.memo_limit < l <= MAX_WALK_LENGTH:  # memo, or power() raises
-            return [sum(row) for row in self.power(l)]
+        if not self.memo_limit < l <= MAX_WALK_LENGTH:  # memo, or row_totals() raises
+            return self.row_totals(l)[l]
         if self._recurrence is None:
             self._recurrence = _ones_recurrence(self.graph)
         coeffs, krylov = self._recurrence

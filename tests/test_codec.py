@@ -13,7 +13,7 @@ from walkstore.codec import (
     walk_from_global_rank,
 )
 from walkstore.errors import InvalidWalkError, RangeError
-from walkstore.graph import gen_walk
+from walkstore.graph import Graph, complete, fibonacci_digraph, gen_walk
 
 
 def test_triangle_length2_codes(c3):
@@ -98,6 +98,71 @@ def test_decode_depth_bound(fib):
             for q in range(l + 1):
                 decode_vertex(t, code, q, stats=stats)
             assert stats["depth"] <= math.ceil(math.log(max(l, 2), branching)) + 1
+
+
+def _reference_encode(tables, verts, lo, hi):
+    """The recursive encoder, one call per node of the split tree, leaves
+    included: the reference for the plan loop of CodecTables.encode."""
+    l = hi - lo
+    if l <= 1:
+        return 1
+    x, y = verts[lo], verts[hi]
+    bounds = tables.segment_bounds(l)
+    tup = tuple(verts[lo + b] for b in bounds[1:-1])
+    directory = tables.directory(x, y, l)
+    z = directory.index.get(tup)
+    if z is None:
+        raise InvalidWalkError(f"no walks pass through {tup} between {x} and {y}")
+    counts = directory.seg_counts[z]
+    rank = 0
+    for i in range(tables.branching):
+        k_i = _reference_encode(tables, verts, lo + bounds[i], lo + bounds[i + 1])
+        rank = rank * counts[i] + (k_i - 1)
+    base = directory.prefix[z - 1] if z else 0
+    return base + rank + 1
+
+
+def _cycle_with_chords(k, seed):
+    """A strongly connected digraph: the k-cycle plus seeded chords."""
+    rng = random.Random(seed)
+    chords = [(rng.randrange(k), rng.randrange(k)) for _ in range(k)]
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)] + chords, directed=True)
+
+
+@pytest.mark.parametrize("branching", [2, 3, 4])
+@pytest.mark.parametrize(
+    "g",
+    [_cycle_with_chords(k, seed) for k, seed in [(3, 1), (5, 2), (6, 3)]]
+    + [complete(4), fibonacci_digraph()],
+    ids=repr,
+)
+def test_encode_matches_recursive_reference(g, branching):
+    t = CodecTables(g, branching=branching)
+    for l in range(301):
+        verts = gen_walk(g, l, seed=l).verts
+        code = encode_walk(t, verts)
+        assert code.value == _reference_encode(t, verts, 0, l), l
+        assert decode_full(t, code).verts == verts
+
+
+def test_encode_rejects_every_bad_step(fib):
+    # (1, 1) is the Fibonacci digraph's only non-edge; 0 -> 1 and 1 -> 0 are edges
+    t = CodecTables(fib, branching=3)
+    for l in range(1, 14):
+        for i in range(l):
+            verts = [0] * (l + 1)
+            verts[i] = verts[i + 1] = 1
+            with pytest.raises(InvalidWalkError, match=r"\(1,1\) is not an edge"):
+                encode_walk(t, verts)
+            if l >= 2:  # the plan loop's own tuple check also sees it
+                with pytest.raises(InvalidWalkError, match="no walks pass"):
+                    t.encode(verts)
+        for i in range(l + 1):
+            for bad in (-1, 2):
+                verts = [0] * (l + 1)
+                verts[i] = bad
+                with pytest.raises(InvalidWalkError, match=f"vertex {bad} outside"):
+                    encode_walk(t, verts)
 
 
 def test_invalid_inputs(fib):

@@ -245,21 +245,28 @@ def test_general_store_bundles_dense_digraphs(k):
         w = gen_walk(g, n, seed=k)
         store = build_general_core(g, w)
         assert not store.is_plain, (k, n)
-        # lg kappa from the all-ones recurrence: benchmark_worstcase_bits at
-        # n <= COUNT_MEMO_LIMIT would fill the dense memo with all n powers
-        # of A, about 0.9 GB at k = 16
-        lg_kappa = log2_int(CountTable(g, memo_limit=0).total(n))
+        lg_kappa = benchmark_worstcase_bits(g, n)
         assert store.payload_bits <= lg_kappa + 96 + 8 * e, (k, n)
         rng = random.Random(e)
         for q in rng.sample(range(n + 1), 300):
             assert store.vertex_at(q) == w.verts[q]
 
 
+def test_worstcase_bits_without_matrix_powers():
+    """Within the memo limit the walk total comes from the cached vectors
+    A^l·1: no matrix power is formed, and the total is the recurrence's."""
+    g = _dense_digraph(16, 16)
+    n = 2**12
+    bits = benchmark_worstcase_bits(g, n)
+    assert len(g.counts()._seq) == 1
+    assert bits == log2_int(CountTable(g, memo_limit=0).total(n))
+
+
 def test_core_roundtrip_fib_small_real_mode(fib):
     n = 2**12
     w = gen_walk(fib, n, seed=7)
     store = build_general_core(fib, w)
-    assert not store.is_plain
+    assert not store.is_plain and store.tail_len > 0
     rng = random.Random(1)
     for q in rng.sample(range(n + 1), 400):
         assert store.vertex_at(q) == w.verts[q]

@@ -94,6 +94,7 @@ def _recurrence_corpus():
         two_scc_dag(),  # reducible
     ]
     graphs.extend(random_digraph(k, seed) for k in range(2, 9) for seed in (1, 2))
+    graphs.append(random_digraph(16, 16))
     return graphs
 
 
@@ -107,6 +108,7 @@ def test_recurrence_totals_match_matrix_powers(g):
         for x in range(g.k):
             assert rec.row_total(x, l) == dense.row_total(x, l) == small.row_total(x, l)
     assert not rec._pow2 and not small._pow2
+    assert len(rec._seq) == len(dense._seq) == len(small._seq) == 1
 
 
 def test_recurrence_total_beyond_memo(fib):
