@@ -40,6 +40,20 @@ EXIT_UNSUPPORTED = 3
 EXIT_INVALID_WALK = 4
 EXIT_RANGE = 5
 
+# main() exits with the code of the first class in the exception's MRO
+# listed here, so a subclass exits like its nearest listed base.
+EXIT_CODES = {
+    FormatError: EXIT_PARSE,
+    UnsupportedGraphError: EXIT_UNSUPPORTED,
+    UnsupportedOperationError: EXIT_UNSUPPORTED,
+    ParameterError: EXIT_UNSUPPORTED,
+    InvalidWalkError: EXIT_INVALID_WALK,
+    GenerationError: EXIT_INVALID_WALK,
+    RangeError: EXIT_RANGE,
+    WalkstoreError: 1,
+    OSError: 1,
+}
+
 _BUILTIN_GRAPHS = {
     "c3": triangle,
     "k4": complete,
@@ -344,24 +358,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (WalkstoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (UnsupportedGraphError, UnsupportedOperationError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (InvalidWalkError, GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_WALK
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANGE
-    except WalkstoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
 
 
 if __name__ == "__main__":

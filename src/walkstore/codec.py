@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .config import CODEC_TUPLE_CAP
 from .errors import InvalidWalkError, ParameterError, RangeError
-from .graph import CountTable, Graph, Walk
+from .graph import Graph, Walk
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,12 @@ class CodecTables:
     never serialized alongside walk data.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        branching: int = 2,
-        count_table: CountTable | None = None,
-    ):
+    def __init__(self, graph: Graph, branching: int = 2):
         if branching < 2:
             raise ParameterError("branching must be >= 2")
         self.graph = graph
         self.branching = branching
-        self.counts = count_table if count_table is not None else graph.counts()
+        self.counts = graph.counts()
         self._dirs = {}
         self._bounds = {}
         self._plans = {}

@@ -9,11 +9,6 @@ DEFAULT_VERTEX_CAP = 64
 # Walk-count tables refuse lengths beyond this (resource guard).
 MAX_WALK_LENGTH = 2**24
 
-# CountTable keeps a dense memo of A^l for l up to this.  Beyond it, walk
-# totals come from the all-ones recurrence, and only power() (single entries
-# of A^l) recombines cached power-of-two squares, on every call.
-COUNT_MEMO_LIMIT = 4096
-
 # Directory size guard for the walk codec with branching > 2.
 CODEC_TUPLE_CAP = 2**16
 

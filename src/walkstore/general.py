@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .bitpack import RadixSpec, SuccinctArray, normalize_strategy
-from .codec import CodecTables, encode_walk
+from .bitpack import RadixSpec, SuccinctArray
+from .codec import CodecTables
 from .errors import (
     FormatError,
     InvalidWalkError,
@@ -40,16 +40,16 @@ def _cdiv(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _group_counts(counts: CountTable, n: int, half: int) -> tuple:
-    """(s, t): s_x = floor(n^2 * share of the length-``half`` walks that
-    leave x), and t_x the same for the walks that enter x."""
-    total = counts.total(half)
+def _group_counts(mat, n: int, half: int) -> tuple:
+    """(s, t) from mat = A^half: s_x = floor(n^2 * share of the length-half
+    walks that leave x), and t_x the same for the walks that enter x."""
+    rows = [sum(row) for row in mat]
+    total = sum(rows)
     if total == 0:
         raise ParameterError(f"graph has no length-{half} walks")
     nn = n * n
-    k = counts.graph.k
-    return ([counts.row_total(x, half) * nn // total for x in range(k)],
-            [counts.col_total(x, half) * nn // total for x in range(k)])
+    return ([r * nn // total for r in rows],
+            [sum(col) * nn // total for col in zip(*mat)])
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +66,19 @@ class BundleTable:
     (x -> y on side 'out', y -> x on side 'in'), then x's group count.
     """
 
-    def __init__(self, graph: Graph, n: int, half_len: int, counts: CountTable | None = None):
+    def __init__(self, graph: Graph, n: int, half_len: int):
         if half_len < 1:
             raise ParameterError("half-block length must be >= 1")
         self.graph = graph
         self.n = n
         self.half_len = half_len
-        self.counts = counts if counts is not None else graph.counts()
-        self.groups_out, self.groups_in = _group_counts(self.counts, n, half_len)
+        self.counts = graph.counts()
+        mat = self.counts.power(half_len)
+        self.groups_out, self.groups_in = _group_counts(mat, n, half_len)
         if min(self.groups_out) < 1 or min(self.groups_in) < 1:
             raise ParameterError(
                 f"a vertex gets zero groups at half-block {half_len}; increase it"
             )
-        mat = self.counts.power(half_len)
         self.rows = {
             "out": [(tuple(mat[x]), s) for x, s in enumerate(self.groups_out)],
             "in": [(tuple(row[x] for row in mat), t) for x, t in enumerate(self.groups_in)],
@@ -241,10 +241,10 @@ def choose_half_block(g: Graph, n: int) -> int | None:
     k = g.k
     nn = n * n
     for half in range(1, _half_block_cap(n) + 1):
-        s, t = _group_counts(counts, n, half)
+        mat = counts.power(half)
+        s, t = _group_counts(mat, n, half)
         if min(s) < 1 or min(t) < 1:
             continue
-        mat = counts.power(half)
         if any(mat[x][y] < nn * max(s[x], t[y]) for x in range(k) for y in range(k)):
             continue
         two = counts.power(2 * half)
@@ -294,7 +294,7 @@ def tail_vertex(counts: CountTable, start: int, length: int, rank: int, q: int) 
 
 
 def tail_max_rank(counts: CountTable, length: int) -> int:
-    return max(counts.row_total(x, length) for x in range(counts.graph.k))
+    return max(counts.row_totals(length)[length])
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +430,8 @@ def _bundle_spec(table: BundleTable, m: int) -> RadixSpec:
 def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) -> GeneralStore:
     """Bundled store; falls back to plain packing when no half-block length
     up to the cap is admissible (always so below two full blocks)."""
+    if w.graph != g:  # the segments are encoded without a second check
+        raise InvalidWalkError("walk was built on a different graph")
     info = analyze(g)
     if not (info.is_strongly_connected and info.is_aperiodic):
         raise UnsupportedGraphError(
@@ -451,11 +453,11 @@ def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) ->
         j_in = k_in = j_out = k_out = None
         if i > 0:
             seg = w.verts[i * span - half : i * span + 1]
-            code = encode_walk(tables, seg).value
+            code = tables.encode(seg)
             j_in, k_in = table.slice_of(code, x, seg[0], "in")
         if i < m:
             seg = w.verts[i * span : i * span + half + 1]
-            code = encode_walk(tables, seg).value
+            code = tables.encode(seg)
             j_out, k_out = table.slice_of(code, x, seg[-1], "out")
         if i == 0:
             packed_bundles.append(table.pack_end(x, j_out, "out"))
@@ -479,12 +481,8 @@ def build_general_core(g: Graph, w: Walk, strategy="spill_tree", branching=2) ->
 
     bundle_spec = _bundle_spec(table, m)
     triple_spec = RadixSpec.uniform_spec(radix, m)
-    bundles = SuccinctArray.build(
-        bundle_spec, packed_bundles, normalize_strategy(strategy, bundle_spec)
-    )
-    triples = SuccinctArray.build(
-        triple_spec, triple_vals, normalize_strategy(strategy, triple_spec)
-    )
+    bundles = SuccinctArray.build(bundle_spec, packed_bundles, strategy)
+    triples = SuccinctArray.build(triple_spec, triple_vals, strategy)
     tail_len = n - m * span
     tail_code = tail_rank(table.counts, w.verts[m * span :]) if tail_len else 0
     return GeneralStore(
@@ -613,6 +611,9 @@ class PeriodicStore(WalkStore):
         if cur.u8():
             product = ProductGraph(graph, period)
             inner = GeneralStore.from_body(cur, product.graph)
+        middle = (inner.n + 1) * period if inner is not None else 0
+        if prefix.spec.t + middle + suffix.spec.t != n + 1:
+            raise FormatError(f"prefix, middle and suffix do not make a walk of length {n}")
         return cls(graph, n, period, prefix, suffix, inner, product)
 
 

@@ -1,9 +1,9 @@
 """Graphs, exact walk counting, structural analysis and walk generation.
 
 All quantities that stores depend on (walk counts, benchmarks, admissibility
-checks) are exact arbitrary-precision integers.  Walk totals at long lengths
-come from the minimal integer recurrence of the all-ones vector; matrix
-squares serve only single entries of A^l.
+checks) are exact arbitrary-precision integers.  Walk totals come from the
+minimal integer recurrence of the all-ones vector; matrix powers serve only
+single entries of A^l.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .config import MAX_WALK_LENGTH, COUNT_MEMO_LIMIT, vertex_cap
+from .config import MAX_WALK_LENGTH, vertex_cap
 from .errors import (
     GenerationError,
     InvalidWalkError,
@@ -133,11 +133,7 @@ def _check_length(l: int) -> None:
         raise ResourceError(f"walk length {l} beyond configured max {MAX_WALK_LENGTH}")
 
 
-def _identity(k: int):
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def _mat_mult(a, b, k: int):
+def _mat_mult(a, b):
     bt = list(zip(*b))
     out = []
     for row in a:
@@ -149,65 +145,39 @@ class CountTable:
     """Exact walk counts: powers A^l of the adjacency matrix and A^l·1.
 
     N_l(x, y) = A^l[x][y] is the number of length-l walks from x to y.
-    Matrices A^l and vectors A^l·1 are kept in dense lists, each entry one
-    step from the last, up to length ``memo_limit`` (``row_totals`` takes
-    the vectors further when asked).  Beyond it,
-    ``power`` recombines cached power-of-two squares, while ``total`` and
-    ``row_total`` need only A^l·1: they reduce x^l modulo the minimal
+    ``power`` keeps every A^l it forms, keyed by l: one sparse step from
+    A^(l-1) when that is cached (the block and half-block scans ask for
+    lengths in order), otherwise the product A^floor(l/2)·A^ceil(l/2).
+    ``row_totals`` keeps the vectors A^0·1, A^1·1, ... that free-end tails
+    read.  ``total`` and ``row_total`` reduce x^l modulo the minimal
     recurrence of the all-ones vector and combine its Krylov vectors, with
     no matrix product at all.
     """
 
-    def __init__(self, graph: Graph, memo_limit: int = COUNT_MEMO_LIMIT):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.memo_limit = memo_limit
-        self._seq = [_identity(graph.k)]
-        self._ones = [(1,) * graph.k]
-        self._pow2 = {}
+        k = graph.k
+        self._powers = {0: tuple(tuple(int(i == j) for j in range(k)) for i in range(k))}
+        self._ones = [(1,) * k]
         self._recurrence = None
 
     def power(self, l: int):
-        _check_length(l)
-        if l < len(self._seq):
-            return self._seq[l]
-        if l <= self.memo_limit:
-            self._extend_seq(l)
-            return self._seq[l]
-        return self._pow_binary(l)
-
-    def _extend_seq(self, l: int):
-        g = self.graph
-        preds = g._in
-        while len(self._seq) <= l:
-            prev = self._seq[-1]
-            nxt = tuple(
-                tuple(sum(row[z] for z in preds[y]) for y in range(g.k)) for row in prev
-            )
-            self._seq.append(nxt)
-
-    def _pow2_of(self, j: int):
-        if j not in self._pow2:
-            if j == 0:
-                self._pow2[0] = self.graph.adj
+        m = self._powers.get(l)
+        if m is None:
+            _check_length(l)
+            prev = self._powers.get(l - 1)
+            if prev is None:
+                m = _mat_mult(self.power(l // 2), self.power(l - l // 2))
             else:
-                half = self._pow2_of(j - 1)
-                self._pow2[j] = _mat_mult(half, half, self.graph.k)
-        return self._pow2[j]
-
-    def _pow_binary(self, l: int):
-        result = None
-        j = 0
-        while l:
-            if l & 1:
-                p = self._pow2_of(j)
-                result = p if result is None else _mat_mult(result, p, self.graph.k)
-            l >>= 1
-            j += 1
-        return result if result is not None else _identity(self.graph.k)
+                preds = self.graph._in
+                ys = range(self.graph.k)
+                m = tuple(tuple(sum(row[z] for z in preds[y]) for y in ys) for row in prev)
+            self._powers[l] = m
+        return m
 
     def row_totals(self, l: int) -> list:
-        """[A^0·1, A^1·1, ...] through at least A^l·1, whatever the memo
-        limit: a free-end tail of length l reads every length below it."""
+        """[A^0·1, A^1·1, ...] through at least A^l·1: a free-end tail of
+        length l reads every length up to it."""
         _check_length(l)
         ones = self._ones
         if len(ones) <= l:
@@ -220,8 +190,7 @@ class CountTable:
 
     def _ones_power(self, l: int):
         """A^l·1: the number of length-l walks from each vertex."""
-        if not self.memo_limit < l <= MAX_WALK_LENGTH:  # memo, or row_totals() raises
-            return self.row_totals(l)[l]
+        _check_length(l)
         if self._recurrence is None:
             self._recurrence = _ones_recurrence(self.graph)
         coeffs, krylov = self._recurrence
@@ -235,11 +204,6 @@ class CountTable:
     def row_total(self, x: int, l: int) -> int:
         """Number of length-l walks starting at x (free end)."""
         return self._ones_power(l)[x]
-
-    def col_total(self, y: int, l: int) -> int:
-        """Number of length-l walks ending at y (free start)."""
-        m = self.power(l)
-        return sum(m[x][y] for x in range(self.graph.k))
 
     def total(self, l: int) -> int:
         """Number of length-l walks with both endpoints free."""

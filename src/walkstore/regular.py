@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitpack import AppendableArray, RadixSpec, SuccinctArray, normalize_strategy
-from .codec import CodecTables, encode_walk
+from .codec import CodecTables
 from .errors import (
     FormatError,
     InvalidWalkError,
@@ -207,13 +207,11 @@ def build_regular(g: Graph, w: Walk, strategy="spill_tree", branching: int = 2) 
     codes = []
     for i in range(layout.m):
         seg = w.verts[i * l : (i + 1) * l + 1]
-        codes.append(encode_walk(tables, seg).value - 1)
+        codes.append(tables.encode(seg) - 1)
     if layout.rem:
-        codes.append(encode_walk(tables, w.verts[layout.m * l :]).value - 1)
-    ms_spec = _milestone_spec(g, layout)
-    blk_spec = _block_spec(g, layout)
-    milestones = SuccinctArray.build(ms_spec, ms_values, normalize_strategy(strategy, ms_spec))
-    blocks = SuccinctArray.build(blk_spec, codes, normalize_strategy(strategy, blk_spec))
+        codes.append(tables.encode(w.verts[layout.m * l :]) - 1)
+    milestones = SuccinctArray.build(_milestone_spec(g, layout), ms_values, strategy)
+    blocks = SuccinctArray.build(_block_spec(g, layout), codes, strategy)
     return RegularStore(
         g, n, blocks.strategy, branching,
         layout=layout, milestones=milestones, blocks=blocks, tables=tables,
@@ -278,7 +276,7 @@ class RegularStoreBuilder:
         self.pending.append(v)
         if (pos % lay.l == 0 and pos <= lay.m * lay.l) or (pos == lay.n and lay.rem):
             store.milestones.append(v)
-            store.blocks.append(encode_walk(store.tables, self.pending).value - 1)
+            store.blocks.append(store.tables.encode(self.pending) - 1)
             self.pending = [v]
 
     def vertex_at(self, i: int) -> int:

@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import pytest
 
 from golden_corpus import GOLDEN_DIR
+from walkstore import cli, errors
 from walkstore.cli import main
 from walkstore.fileio import dist_to_json, save_graph, save_walk
 from walkstore.graph import Graph, complete, gen_walk, triangle
@@ -121,6 +123,34 @@ def test_exit_code_index_range(workspace, capsys):
          "--out", str(ws / "s.rws")], capsys)
     code, _, _ = run(["query", str(ws / "s.rws"), "65"], capsys)
     assert code == 5
+
+
+# The documented exit code of every error class, and of OSError.
+EXPECTED_EXIT_CODES = {
+    errors.WalkstoreError: 1,
+    errors.FormatError: 2,
+    errors.UnsupportedGraphError: 3,
+    errors.InvalidWalkError: 4,
+    errors.RangeError: 5,
+    errors.ParameterError: 3,
+    errors.UnsupportedOperationError: 3,
+    errors.GenerationError: 4,
+    errors.ResourceError: 1,
+    OSError: 1,
+}
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("exc", ERROR_CLASSES + [OSError], ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(exc, monkeypatch, capsys):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    code, _, err = run(["gen", "--graph", "c3", "--length", "4", "--out", "unused"], capsys)
+    assert code == EXPECTED_EXIT_CODES[exc]
+    assert err == "error: boom\n"
 
 
 def test_graph_digest_mismatch(workspace, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import enumerate_walks, four_vertex_aperiodic, two_scc_dag
 from golden_corpus import GOLDEN_DIR
-from walkstore.errors import FormatError, ParameterError, RangeError
+from walkstore.errors import FormatError, InvalidWalkError, ParameterError, RangeError
 from walkstore.fileio import Cursor, write_varbig, write_varint
 from walkstore.general import (
     BundleTable,
@@ -200,12 +200,12 @@ def _half_block_reference(g, n):
     counts = g.counts()
     k, nn = g.k, n * n
     for half in range(1, min(n // 4, 64 * max(1, (n - 1).bit_length())) + 1):
+        a = counts.power(half)
         total = counts.total(half)
         s = [counts.row_total(x, half) * nn // total for x in range(k)]
-        t = [counts.col_total(x, half) * nn // total for x in range(k)]
+        t = [sum(a[x][y] for x in range(k)) * nn // total for y in range(k)]
         if min(s) < 1 or min(t) < 1:  # (i)
             continue
-        a = counts.power(half)
         if not all(a[x][y] >= nn * s[x] and a[x][y] >= nn * t[y]
                    for x in range(k) for y in range(k)):  # (ii)
             continue
@@ -253,13 +253,18 @@ def test_general_store_bundles_dense_digraphs(k):
 
 
 def test_worstcase_bits_without_matrix_powers():
-    """Within the memo limit the walk total comes from the cached vectors
-    A^l·1: no matrix power is formed, and the total is the recurrence's."""
+    """The walk total comes from the all-ones recurrence: no matrix power
+    is formed, and the total is the sum of A^n."""
     g = _dense_digraph(16, 16)
     n = 2**12
     bits = benchmark_worstcase_bits(g, n)
-    assert len(g.counts()._seq) == 1
-    assert bits == log2_int(CountTable(g, memo_limit=0).total(n))
+    assert list(g.counts()._powers) == [0]
+    assert bits == log2_int(sum(map(sum, CountTable(g).power(n))))
+
+
+def test_core_rejects_a_walk_on_another_graph(fib, k4):
+    with pytest.raises(InvalidWalkError):
+        build_general_core(fib, gen_walk(k4, 2**10, seed=1))
 
 
 def test_core_roundtrip_fib_small_real_mode(fib):
@@ -501,13 +506,13 @@ def test_scc_from_body_rejects_crafted_segments(field, values):
         SccStore.from_body(Cursor(_scc_body(store, **{field: values(store)})), g)
 
 
-def _with_period(body: bytes, period: int) -> bytes:
-    """A periodic store's body with its period varint replaced."""
+def _with_head(body: bytes, n: int | None = None, period: int | None = None) -> bytes:
+    """A periodic store's body with its walk length or period varint replaced."""
     cur = Cursor(body)
     out = bytearray()
-    write_varint(out, cur.varint())  # n
-    cur.varint()
-    write_varint(out, period)
+    for new in (n, period):
+        old = cur.varint()
+        write_varint(out, old if new is None else new)
     return bytes(out) + body[cur.pos:]
 
 
@@ -519,18 +524,28 @@ def test_periodic_from_body_rejects_a_wrong_period(period):
     store = store_from_bytes((GOLDEN_DIR / "periodic.bin").read_bytes())
     assert isinstance(store, PeriodicStore) and store.period == 2
     body = store.body_bytes()
-    assert _with_period(body, 2) == body
+    assert _with_head(body, period=2) == body
     start = time.perf_counter()
     with pytest.raises(FormatError):
-        PeriodicStore.from_body(Cursor(_with_period(body, period)), store.graph)
+        PeriodicStore.from_body(Cursor(_with_head(body, period=period)), store.graph)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [300, 302, 306])
+def test_periodic_from_body_rejects_a_wrong_length(n):
+    store = store_from_bytes((GOLDEN_DIR / "periodic.bin").read_bytes())
+    assert store.n == 301
+    body = store.body_bytes()
+    assert _with_head(body, n=301) == body
+    with pytest.raises(FormatError):
+        PeriodicStore.from_body(Cursor(_with_head(body, n=n)), store.graph)
 
 
 @pytest.mark.parametrize("period", WRONG_PERIODS)
 def test_scc_segment_rejects_a_wrong_period(period):
     g, store = _periodic_then_aperiodic_scc_store()
     bodies = [seg.body_bytes() for seg in store.segments]
-    bodies[0] = _with_period(bodies[0], period)
+    bodies[0] = _with_head(bodies[0], period=period)
     start = time.perf_counter()
     with pytest.raises(FormatError):
         SccStore.from_body(Cursor(_scc_body(store, bodies=bodies)), g)

@@ -100,32 +100,35 @@ def _recurrence_corpus():
 
 @pytest.mark.parametrize("g", _recurrence_corpus(), ids=repr)
 def test_recurrence_totals_match_matrix_powers(g):
-    rec = CountTable(g, memo_limit=0)
-    dense = CountTable(g, memo_limit=10**9)
-    small = CountTable(g, memo_limit=16)
-    for l in list(range(101)) + [17, 16, 15, 33, 32]:
-        assert rec.total(l) == dense.total(l) == small.total(l), l
-        for x in range(g.k):
-            assert rec.row_total(x, l) == dense.row_total(x, l) == small.row_total(x, l)
-    assert not rec._pow2 and not small._pow2
-    assert len(rec._seq) == len(dense._seq) == len(small._seq) == 1
+    rec, steps = CountTable(g), CountTable(g)
+    for l in range(301):
+        # a cold table forms A^l by products, ``steps`` one step from A^(l-1)
+        assert CountTable(g).power(l) == steps.power(l), l
+    for l in list(range(101)) + [6000]:
+        sums = [sum(row) for row in steps.power(l)]
+        assert [rec.row_total(x, l) for x in range(g.k)] == sums, l
+        assert rec.total(l) == sum(sums), l
+    assert rec.row_totals(100) == [tuple(map(sum, steps.power(l))) for l in range(101)]
+    assert list(rec._powers) == [0]
 
 
 def test_recurrence_total_beyond_memo(fib):
-    big = CountTable(fib, memo_limit=0).power(6000)
-    assert CountTable(fib, memo_limit=0).total(6000) == sum(sum(row) for row in big)
+    big = CountTable(fib).power(6000)
+    ct = CountTable(fib)
+    assert ct.total(6000) == sum(sum(row) for row in big)
+    assert list(ct._powers) == [0]
     assert fib.counts().total(6000) == sum(sum(row) for row in big)
 
 
 def test_recurrence_of_regular_graph_has_order_one(k4):
-    ct = CountTable(k4, memo_limit=0)
+    ct = CountTable(k4)
     assert ct.total(5) == 4 * 3**5
     assert ct._recurrence == ([3], [(1, 1, 1, 1)])
 
 
 def test_recurrence_length_guards(fib):
-    ct = CountTable(fib, memo_limit=0)
-    for call in (ct.total, lambda l: ct.row_total(0, l)):
+    ct = CountTable(fib)
+    for call in (ct.total, lambda l: ct.row_total(0, l), ct.power, ct.row_totals):
         with pytest.raises(RangeError):
             call(-1)
         with pytest.raises(ResourceError):
@@ -135,7 +138,7 @@ def test_recurrence_length_guards(fib):
 def test_worstcase_bits_without_matrix_squares(k4):
     expect = 2 + 10**6 * math.log2(3)
     assert benchmark_worstcase_bits(k4, 10**6) == pytest.approx(expect, rel=1e-9)
-    assert k4.counts()._pow2 == {}
+    assert list(k4.counts()._powers) == [0]
 
 
 def test_analyze_directed_two_cycle():
