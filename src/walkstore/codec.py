@@ -284,7 +284,9 @@ def global_rank(tables: CodecTables, walk: Walk) -> int:
     pairs, _ = _pair_offsets(tables, n)
     x, y = walk.verts[0], walk.verts[-1]
     offset = next(off for px, py, off in pairs if (px, py) == (x, y))
-    return offset + tables.encode(walk.verts)
+    code = tables.encode(walk.verts)
+    tables._plans.pop(n, None)  # about 360 bytes a node: keep no whole-walk plan
+    return offset + code
 
 
 def walk_from_global_rank(tables: CodecTables, n: int, rank: int) -> Walk:

@@ -17,32 +17,31 @@ cost split) choices in canonical order; resolved nodes are cached on the
 store so scattered queries do not redo the arithmetic.  That cache is not
 bounded: a scan of every position leaves about n nodes in it.
 
-Count tables are dictionaries keyed by cost sum, built by convolving child
-tables: one convolution per source vertex u of the split edge, with the
-right tables of u's successors added first.  When every step cost is a
-multiple of a common lattice the convolution runs as one big-integer
-multiply (coefficients packed into fixed-width limbs), which keeps builds at
-dictionary-bridge scale fast; gmpy2 provides the multiply when available.
-The root count (and so payload_bits) is one coefficient, summed from the
-child tables, so the size-(n+1) table is never built.
+Count tables are dictionaries of Python ints keyed by cost sum, built by
+convolving child tables: one convolution per source vertex u of the split
+edge, with the right tables of u's successors added first.  A large
+convolution packs each table into one decimal.Decimal, D digits per
+coefficient, and multiplies the two in an exact context, where libmpdec
+uses a number-theoretic transform and any rounding raises.  The root count
+(and so payload_bits) is one coefficient, summed from the child tables, so
+the size-(n+1) table is never built.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, Inexact, InvalidOperation, MAX_EMAX, MAX_PREC, Rounded
 
 from .errors import FormatError, InvalidWalkError, ParameterError, RangeError
 from .fileio import Cursor, write_varbig, write_varint
 from .graph import Graph, Walk, ceil_log2
 from .store import WalkStore
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is the optional 'fast' extra
-    _mpz = int
-
 # Plain dict convolution below this many coefficient pairs.
 _KRONECKER_CUTOFF = 1024
+
+# The packed multiply's own context: exact, so any rounding raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, InvalidOperation])
 
 
 def _step_cost(deg: int, precision: int) -> int:
@@ -130,26 +129,19 @@ class LabelCounts:
                     result[s] = result.get(s, 0) + nl * nr
             return
         g = self.lattice
-        il = [s // g for s in left]
-        ir = [s // g for s in right]
-        lo_l, hi_l = min(il), max(il)
-        lo_r, hi_r = min(ir), max(ir)
-        width = (
-            max(left.values()).bit_length()
-            + max(right.values()).bit_length()
-            + (min(len(left), len(right)) + 1).bit_length()
-        )
-        width = (width + 7) // 8 * 8
-        packed_l = _pack(left, g, lo_l, hi_l, width)
-        packed_r = _pack(right, g, lo_r, hi_r, width)
-        product = int(_mpz(packed_l) * _mpz(packed_r))
-        nbytes = width // 8
-        raw = product.to_bytes((hi_l - lo_l + hi_r - lo_r + 2) * nbytes, "little")
-        base = lo_l + lo_r
-        for idx in range(len(raw) // nbytes):
-            coeff = int.from_bytes(raw[idx * nbytes : (idx + 1) * nbytes], "little")
+        # every product coefficient is below this bound, so it fits its chunk
+        bound = max(left.values()) * max(right.values()) * (min(len(left), len(right)) + 1)
+        digits = Decimal(bound).adjusted() + 1
+        lo_l, packed_l = _kronecker(left, g, digits)
+        lo_r, packed_r = _kronecker(right, g, digits)
+        text = str(_EXACT.multiply(packed_l, packed_r))
+        chunks = -(-len(text) // digits)
+        text = text.zfill(chunks * digits)
+        top = lo_l + lo_r + chunks - 1
+        for j in range(chunks):
+            coeff = int(Decimal(text[j * digits : (j + 1) * digits]))
             if coeff:
-                s = (base + idx) * g + shift
+                s = (top - j) * g + shift
                 result[s] = result.get(s, 0) + coeff
 
 
@@ -164,15 +156,16 @@ def _add_tables(tables) -> dict:
     return total
 
 
-def _pack(table: dict, g: int, lo: int, hi: int, width: int) -> int:
-    nbytes = width // 8
-    buf = bytearray((hi - lo + 1) * nbytes)
-    for s, value in table.items():
-        idx = s // g - lo
-        buf[idx * nbytes : idx * nbytes + (value.bit_length() + 7) // 8] = value.to_bytes(
-            (value.bit_length() + 7) // 8, "little"
-        )
-    return int.from_bytes(buf, "little")
+def _kronecker(table: dict, g: int, digits: int) -> tuple:
+    """(lo, the Decimal sum of table[s] * 10**(digits * (s // g - lo))), lo the
+    lowest s // g.  Digits go through Decimal, never int <-> str, whose
+    conversions stop at sys.get_int_max_str_digits()."""
+    index = {s // g: value for s, value in table.items()}
+    lo = min(index)
+    zero = "0" * digits
+    chunks = [str(Decimal(index[i])).zfill(digits) if i in index else zero
+              for i in range(max(index), lo - 1, -1)]
+    return lo, Decimal("".join(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +297,11 @@ class PointwiseStore(WalkStore):
         branching = cur.u8()
         first = cur.u8()
         last = cur.u8()
-        if branching != 2 or max(first, last) >= graph.k or precision < 1:
+        if (branching != 2 or max(first, last) >= graph.k
+                or not 1 <= precision <= max(1, n)):
             raise FormatError(
                 f"bad pointwise header: branching {branching}, endpoints ({first}, "
-                f"{last}) on {graph.k} vertices, precision {precision}"
+                f"{last}) on {graph.k} vertices, precision {precision} for n = {n}"
             )
         cost = cur.varbig()
         rank0 = cur.varbig()
@@ -330,6 +324,9 @@ def build_pointwise(g: Graph, w: Walk, precision: int | None = None,
         )
     n = w.length
     precision = max(1, n if precision is None else precision)
+    if precision > max(1, n):
+        # the loader refuses it: _step_cost grows linearly with precision
+        raise ParameterError(f"precision {precision} exceeds max(1, n) = {max(1, n)}")
     if engine is None:
         engine = LabelCounts(g, precision)
     elif engine.graph != g or engine.precision != precision:

@@ -187,6 +187,16 @@ def test_global_rank_identity(c3, fib):
                 assert global_rank(t, w) == r
 
 
+def test_global_rank_keeps_no_whole_walk_plan(fib):
+    t = CodecTables(fib)
+    kept = t.plan(40)  # a block length, as store builds ask for
+    n = 2**14
+    w = gen_walk(fib, n, seed=3)
+    assert walk_from_global_rank(t, n, global_rank(t, w)) == w
+    assert n not in t._plans
+    assert t._plans[40] is kept
+
+
 def test_gen_uniform_then_rank_is_identity(fib):
     # uniform generation draws rank r and unranks; ranking must invert it
     t = CodecTables(fib)

@@ -1,5 +1,7 @@
+import decimal
 import math
 import random
+import sys
 from collections import defaultdict
 
 import pytest
@@ -32,8 +34,9 @@ def test_label_examples(k4, fib):
         return store.first, store.last, store.cost
 
     assert root_label(k4, (0, 1, 2), 2) == (0, 2, 8)
-    assert root_label(k4, (3,), 2) == (3, 3, 0)
-    assert root_label(fib, (0, 1, 0), 4) == (0, 0, 4)
+    assert root_label(k4, (3,), 1) == (3, 3, 0)
+    # one step from 0 (out-degree 2) at cost ceil(2 lg 2) = 2, one from 1 at 0
+    assert root_label(fib, (0, 1, 0), 2) == (0, 0, 2)
 
 
 def test_count_labeled_base(fib):
@@ -90,6 +93,47 @@ def test_kronecker_matches_plain(fib, monkeypatch):
     big = LabelCounts(fib, 64).count_map(65, 0, 0)
     monkeypatch.setattr(pw, "_KRONECKER_CUTOFF", 10**9)
     assert LabelCounts(fib, 64).count_map(65, 0, 0) == big
+
+
+def _convolve(engine, left, right, shift, cutoff, monkeypatch):
+    monkeypatch.setattr(pw, "_KRONECKER_CUTOFF", cutoff)
+    result = {shift: 7}  # the convolution adds into what the table holds
+    engine._conv_into(result, left, right, shift)
+    monkeypatch.undo()
+    return result
+
+
+@pytest.mark.parametrize("bits, span, sizes", [(64, 400, (40, 33)), (20_000, 40, (6, 5))])
+def test_packed_matches_plain_on_big_sparse_coefficients(bits, span, sizes, fib, monkeypatch):
+    rng = random.Random(bits)
+    mixed = LabelCounts(_mixed_degree_digraph(), 5)  # costs 8, 5 and 0
+    lattice4 = LabelCounts(fib, 4)  # costs 4 and 0
+    assert (mixed.lattice, lattice4.lattice) == (1, 4)
+    for engine, shift in ((mixed, 0), (mixed, 13), (lattice4, 8)):
+        g = engine.lattice
+        # sparse: most keys in range(3, span) are absent
+        tables = [{g * key: rng.getrandbits(bits) | 1 for key in rng.sample(range(3, span), size)}
+                  for size in sizes]
+        packed = _convolve(engine, *tables, shift, 0, monkeypatch)
+        assert packed == _convolve(engine, *tables, shift, 10**9, monkeypatch)
+        assert len(packed) > 2 * sizes[0]
+    # 20,000-bit coefficients are past what int <-> str converts by default
+    assert bits < 20_000 or decimal.Decimal(1 << (bits - 1)).adjusted() >= sys.get_int_max_str_digits()
+
+
+def test_packed_path_keeps_decimal_context_and_int_limit(fib):
+    ctx = decimal.getcontext()
+
+    def state():
+        return (decimal.getcontext(), ctx.prec, ctx.Emax, ctx.Emin, ctx.rounding, ctx.capitals,
+                ctx.clamp, dict(ctx.traps), dict(ctx.flags), sys.get_int_max_str_digits())
+
+    before = state()
+    engine = LabelCounts(fib, 128)
+    engine.count_map(129, 0, 0)
+    # the top convolution has enough coefficient pairs to take the packed path
+    assert len(engine.count_map(65, 0, 0)) * len(engine.count_map(64, 0, 0)) > pw._KRONECKER_CUTOFF
+    assert state() == before
 
 
 def test_direct_count_matches_table():
@@ -253,12 +297,21 @@ def test_from_body_accepts_crafted_header(fib):
 @pytest.mark.parametrize(
     "fields",
     [{"branching": 3}, {"branching": 0}, {"first": 2}, {"last": 2},
-     {"precision": 0}],
-    ids=["branching3", "branching0", "first", "last", "precision"],
+     {"precision": 0}, {"precision": 5}, {"precision": 2**24}],
+    ids=["branching3", "branching0", "first", "last", "precision", "precision_n_plus_1",
+         "precision_2_24"],
 )
 def test_from_body_rejects_bad_header(fib, fields):
     with pytest.raises(FormatError):
         PointwiseStore.from_body(Cursor(_body(**fields)), fib)
+
+
+def test_build_rejects_precision_above_n(fib):
+    w = gen_walk(fib, 4, seed=1)
+    assert build_pointwise(fib, w, precision=4).precision == 4
+    with pytest.raises(ParameterError):
+        build_pointwise(fib, w, precision=5)
+    assert build_pointwise(fib, Walk(fib, (1,)), precision=1).precision == 1
 
 
 def test_endpoints_above_u8_refuse_to_save(monkeypatch):
