@@ -1,11 +1,12 @@
 """The pinned golden corpus: one small store file per store kind and strategy.
 
-Each case is a recipe (graph, walk length, seed, mode, strategy) that
-rebuilds its store from scratch, plus the positions whose answers the
-corpus records.  ``tests/golden/`` holds the files this module wrote and
-``answers.json`` the recipes and the expected answers; test_golden.py
-checks that every file loads, answers, re-serialises byte for byte and is
-rebuilt byte for byte.
+Each case is a recipe (graph, walk length, seed, mode, strategy and an
+optional codec branching, 2 when absent) that rebuilds its store from
+scratch, plus the positions whose answers the corpus records.
+``tests/golden/`` holds the files this module wrote and ``answers.json``
+the recipes and the expected answers; test_golden.py checks that every
+file loads, answers, re-serialises byte for byte and is rebuilt byte for
+byte.
 
 Regenerate (only when a format change is intended):
 
@@ -61,6 +62,10 @@ CASES = {
     "dictionary": dict(graph=None, n=96, seed=6, mode="dictionary", strategy=None),
     "regular_plain": dict(graph="k4", n=5, seed=1, mode="regular", strategy="blocked"),
     "general_plain": dict(graph="fib", n=30, seed=2, mode="general", strategy=None),
+    "regular_blocked_b3": dict(graph="k4", n=4101, seed=1, mode="regular", strategy="blocked",
+                               branching=3),
+    "general_spill_tree_b3": dict(graph="fib", n=4096, seed=2, mode="general",
+                                  strategy="spill_tree", branching=3),
 }
 
 
@@ -84,7 +89,9 @@ def build_case(case: dict):
             builder.append(v)
         return builder.finalize(), list(walk.verts)
     strategy = case["strategy"] or "spill_tree"
-    return build_store(g, walk, mode=case["mode"], strategy=strategy), list(walk.verts)
+    store = build_store(g, walk, mode=case["mode"], strategy=strategy,
+                        branching=case.get("branching", 2))
+    return store, list(walk.verts)
 
 
 def file_bytes(store) -> bytes:

@@ -19,9 +19,11 @@ PROBE_SIZES = {
     "general_packed": [2, 2, 3, 2, 2, 3, 1, 3, 2, 3, 3, 3],
     "general_plain": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
     "general_spill_tree": [7, 10, 5, 5, 9, 4, 4, 10, 4, 9, 3, 7],
+    "general_spill_tree_b3": [5, 5, 7, 7, 9, 5, 6, 4, 7, 7, 5, 7],
     "periodic": [2, 2, 3, 2, 3, 2, 2, 3, 3, 2, 2, 2],
     "pointwise": [3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3],
     "regular_blocked": [5, 4, 5, 4, 3, 5, 5, 6, 5, 4, 4, 4],
+    "regular_blocked_b3": [5, 6, 5, 6, 5, 5, 5, 5, 5, 5, 6, 3],
     "regular_online": [5, 4, 4, 2, 4, 4, 5, 6, 6, 5, 6, 8],
     "regular_packed": [2, 2, 2, 2, 2, 2, 2, 3, 3, 2, 2, 2],
     "regular_plain": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
