@@ -9,13 +9,19 @@ single position recovers Z by predecessor search over the directory prefix
 sums and descends only into the segment holding the position, one loop
 iteration per recursion level, so it touches O(lg l) levels instead of
 unranking the whole walk.
+
+A directory keeps only the prefix sums, the split vertices and the suffix
+products of the segment counts, in flat tuples; the counts themselves stay
+in the graph's cached matrices A^j.  Its tuple -> rank index is built only
+when a walk is encoded.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .config import CODEC_TUPLE_CAP
@@ -34,24 +40,38 @@ class WalkCode:
 
 
 class _Directory:
-    """All interior-vertex tuples for one (x, y, l), sorted by walk count."""
+    """The interior-vertex tuples of one (x, y, l), sorted by walk count.
 
-    __slots__ = ("bounds", "tuples", "index", "prefix", "seg_counts", "suffix")
+    Tuple z has split vertices ``mids[z*(B-1) : (z+1)*(B-1)]``, walks
+    through tuples 0..z sum to ``prefix[z]``, and ``suffix[z*B + i]`` is
+    the product of its segment counts after segment i: 1 for the last and,
+    at B = 2, the very int A^b[z][y] that ``CountTable.power`` holds.
+    """
 
-    def __init__(self, bounds, tuples, prefix, seg_counts, suffix):
+    __slots__ = ("bounds", "prefix", "mids", "suffix", "_index")
+
+    def __init__(self, bounds, prefix, mids, suffix):
         self.bounds = bounds  # the segment bounds of length l
-        self.tuples = tuples
-        self.index = {tup: i for i, tup in enumerate(tuples)}
         self.prefix = prefix
-        self.seg_counts = seg_counts
+        self.mids = mids
         self.suffix = suffix
+        self._index = None
+
+    def index(self) -> dict:
+        """Split-vertex tuple -> z, built when encode first asks: filled at
+        most once, and two threads that race here build the same dict."""
+        w = len(self.bounds) - 2
+        mids = self.mids
+        self._index = {mids[j : j + w]: j // w for j in range(0, len(mids), w)}
+        return self._index
 
 
 class CodecTables:
-    """Graph-derived ranking tables; immutable once built, safe to share.
+    """Graph-derived ranking tables, built on demand and cached.
 
     Directories are deterministic functions of (graph, branching) and are
-    never serialized alongside walk data.
+    never serialized alongside walk data.  Once built, a directory changes
+    only by filling its lazy index.
     """
 
     def __init__(self, graph: Graph, branching: int = 2):
@@ -76,57 +96,31 @@ class CodecTables:
         return self.counts.count(x, y, l)
 
     def directory(self, x: int, y: int, l: int) -> _Directory:
-        key = (x, y, l)
-        cached = self._dirs.get(key)
+        cached = self._dirs.get((x, y, l))
         if cached is not None:
             return cached
-        B = self.branching
-        k = self.graph.k
+        B, k = self.branching, self.graph.k
         if k ** (B - 1) > CODEC_TUPLE_CAP:
-            raise ParameterError(
-                f"directory of {k}^{B - 1} tuples exceeds cap {CODEC_TUPLE_CAP}"
-            )
+            raise ParameterError(f"directory of {k}^{B - 1} tuples exceeds cap {CODEC_TUPLE_CAP}")
         bounds = self.segment_bounds(l)
-        seg_lens = [bounds[i + 1] - bounds[i] for i in range(B)]
+        mats = [self.counts.power(b - a) for a, b in zip(bounds, bounds[1:])]
+        walks = [(x,)]  # vertices at the bounds so far, with walks between each two
+        for m, nexts in zip(mats, [range(k)] * (B - 1) + [(y,)]):
+            walks = [w + (z,) for w in walks for z in nexts if m[w[-1]][z]]
         entries = []
-        tup = [0] * (B - 1)
-
-        def fill(pos: int, partial: int, first: int):
-            if partial == 0:
-                return
-            if pos == B - 1:
-                last = self.walk_count(first, y, seg_lens[B - 1])
-                if last:
-                    counts = tuple(
-                        self.walk_count(
-                            (x, *tup)[i], (*tup, y)[i], seg_lens[i]
-                        )
-                        for i in range(B)
-                    )
-                    entries.append((partial * last, tuple(tup), counts))
-                return
-            for z in range(k):
-                tup[pos] = z
-                fill(pos + 1, partial * self.walk_count(first, z, seg_lens[pos]), z)
-
-        fill(0, 1, x)
-        entries.sort(key=lambda e: (e[0], e[1]))
-        tuples = []
-        prefix = []
-        seg_counts = []
-        suffix = []
-        acc = 0
-        for product, t, counts in entries:
-            acc += product
-            tuples.append(t)
-            prefix.append(acc)
-            seg_counts.append(counts)
-            sfx = [1] * B
-            for i in range(B - 2, -1, -1):
-                sfx[i] = sfx[i + 1] * counts[i + 1]
-            suffix.append(tuple(sfx))
-        directory = _Directory(bounds, tuples, prefix, seg_counts, suffix)
-        self._dirs[key] = directory
+        for w in walks:
+            counts = [m[a][b] for m, a, b in zip(mats, w, w[1:])]
+            # accumulate starts from the matrix's own int, not a copy
+            sfx = [*accumulate(counts[:0:-1], mul)][::-1] + [1]
+            entries.append((counts[0] * sfx[0], w[1:-1], sfx))
+        entries.sort(key=itemgetter(0, 1))
+        prefix, mids, suffix = [], [], []
+        for product, t, sfx in entries:
+            prefix.append(product + prefix[-1] if prefix else product)
+            mids += t
+            suffix += sfx
+        directory = _Directory(bounds, tuple(prefix), tuple(mids), tuple(suffix))
+        self._dirs[x, y, l] = directory
         return directory
 
     # -- encoding ------------------------------------------------------------
@@ -152,18 +146,19 @@ class CodecTables:
         one loop over the plan of l = len(verts) - 1, each node combining
         the codes of its internal children from a stack."""
         dirs = self._dirs
+        B = self.branching
         codes = [1]  # the code of a walk of length <= 1, which has no plan
         for pick, l, inner in self.plan(len(verts) - 1):
             ends = pick(verts)
             x, y = ends[0], ends[-1]
             directory = dirs.get((x, y, l)) or self.directory(x, y, l)
-            z = directory.index.get(ends[1:-1])
+            z = (directory._index or directory.index()).get(ends[1:-1])
             if z is None:
                 raise InvalidWalkError(f"no walks pass through {ends[1:-1]} between {x} and {y}")
-            suffix = directory.suffix[z]
+            suffix, zb = directory.suffix, z * B
             code = directory.prefix[z - 1] + 1 if z else 1
             for i in inner:
-                code += (codes.pop() - 1) * suffix[i]
+                code += (codes.pop() - 1) * suffix[zb + i]
             codes.append(code)
         return codes[-1]
 
@@ -181,16 +176,22 @@ class CodecTables:
             if not (prefix and 1 <= code <= prefix[-1]):
                 raise RangeError(f"code {code} outside the length-{l} walks {x} -> {y}")
             z = bisect_left(prefix, code)
-            tup = directory.tuples[z]
             bounds = directory.bounds
             i = bisect_left(bounds, q)
             if bounds[i] == q:
-                return tup[i - 1], depth
+                return directory.mids[z * (B - 1) + i - 1], depth
             i -= 1
             rest = code - (prefix[z - 1] if z else 0) - 1
-            code = rest // directory.suffix[z][i] % directory.seg_counts[z][i] + 1
-            x = tup[i - 1] if i else x
-            y = tup[i] if i < B - 1 else y
+            # segment i, between mids[s - z - 1] and mids[s - z], has radix
+            # suffix[s] in rest: drop the segments before it, then those after
+            s = z * B + i
+            suffix = directory.suffix
+            if i:
+                rest %= suffix[s - 1]
+                x = directory.mids[s - z - 1]
+            code = rest // suffix[s] + 1
+            if i < B - 1:
+                y = directory.mids[s - z]
             l = bounds[i + 1] - bounds[i]
             q -= bounds[i]
         return (x if q == 0 else y), depth
@@ -201,17 +202,16 @@ class CodecTables:
         if l == 1:
             out.append(y)
             return
+        B = self.branching
         directory = self.directory(x, y, l)
         # decode_full checked the top code; every segment code is in range
         z = bisect_left(directory.prefix, code)
         rest = code - (directory.prefix[z - 1] if z else 0) - 1
-        tup = directory.tuples[z]
-        bounds = self.segment_bounds(l)
-        counts = directory.seg_counts[z]
-        ends = (x, *tup, y)
-        for i in range(self.branching):
-            k_i = (rest // directory.suffix[z][i]) % counts[i] + 1
-            self._decode_full(ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i, out)
+        bounds = directory.bounds
+        ends = (x, *directory.mids[z * (B - 1) : (z + 1) * (B - 1)], y)
+        for i, radix in enumerate(directory.suffix[z * B : (z + 1) * B]):
+            k_i, rest = divmod(rest, radix)
+            self._decode_full(ends[i], ends[i + 1], bounds[i + 1] - bounds[i], k_i + 1, out)
 
 
 def _check_segment(tables: CodecTables, verts: Sequence[int]) -> None:

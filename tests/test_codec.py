@@ -1,11 +1,18 @@
+import gc
+import json
+import math
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import enumerate_walks, small_corpus
+from golden_corpus import ANSWERS, GOLDEN_DIR, build_case, file_bytes
+from walkstore import build_store, codec, general, regular
 from walkstore.codec import (
     CodecTables,
     WalkCode,
+    _Directory,
     decode_full,
     decode_vertex,
     encode_walk,
@@ -14,6 +21,7 @@ from walkstore.codec import (
 )
 from walkstore.errors import InvalidWalkError, RangeError
 from walkstore.graph import Graph, complete, fibonacci_digraph, gen_walk
+from walkstore.storefile import store_from_bytes, store_to_bytes
 
 
 def test_triangle_length2_codes(c3):
@@ -110,14 +118,15 @@ def _reference_encode(tables, verts, lo, hi):
     bounds = tables.segment_bounds(l)
     tup = tuple(verts[lo + b] for b in bounds[1:-1])
     directory = tables.directory(x, y, l)
-    z = directory.index.get(tup)
+    z = directory.index().get(tup)
     if z is None:
         raise InvalidWalkError(f"no walks pass through {tup} between {x} and {y}")
-    counts = directory.seg_counts[z]
+    ends = (x, *tup, y)
     rank = 0
     for i in range(tables.branching):
         k_i = _reference_encode(tables, verts, lo + bounds[i], lo + bounds[i + 1])
-        rank = rank * counts[i] + (k_i - 1)
+        count = tables.walk_count(ends[i], ends[i + 1], bounds[i + 1] - bounds[i])
+        rank = rank * count + (k_i - 1)
     base = directory.prefix[z - 1] if z else 0
     return base + rank + 1
 
@@ -143,6 +152,98 @@ def test_encode_matches_recursive_reference(g, branching):
         code = encode_walk(t, verts)
         assert code.value == _reference_encode(t, verts, 0, l), l
         assert decode_full(t, code).verts == verts
+
+
+@pytest.mark.parametrize("branching", [2, 3, 4])
+@pytest.mark.parametrize(
+    "g", [_cycle_with_chords(k, seed) for k, seed in [(3, 1), (5, 2), (6, 3)]], ids=repr
+)
+def test_directory_suffix_products_are_count_matrix_entries(g, branching):
+    B = branching
+    t = CodecTables(g, branching=B)
+    shared = 0  # B = 2 entries above the small-int cache, whose identity means something
+    for l in [*range(20), 41, 64, 101]:
+        bounds = t.segment_bounds(l)
+        mats = [t.counts.power(bounds[i + 1] - bounds[i]) for i in range(B)]
+        for x in range(g.k):
+            for y in range(g.k):
+                d = t.directory(x, y, l)
+                assert len(d.mids) == (B - 1) * len(d.prefix)
+                assert len(d.suffix) == B * len(d.prefix)
+                acc = 0
+                for z in range(len(d.prefix)):
+                    ends = (x, *d.mids[z * (B - 1) : (z + 1) * (B - 1)], y)
+                    counts = [mats[i][ends[i]][ends[i + 1]] for i in range(B)]
+                    for i in range(B):
+                        assert d.suffix[z * B + i] == math.prod(counts[i + 1 :])
+                    if B == 2:
+                        assert d.suffix[2 * z] is mats[1][ends[1]][y]
+                        shared += d.suffix[2 * z] > 256
+                    assert math.prod(counts) == d.prefix[z] - acc > 0
+                    acc = d.prefix[z]
+                assert acc == t.walk_count(x, y, l)
+                assert d._index is None
+    assert B > 2 or shared > 0
+
+
+def test_loaded_golden_stores_answer_without_building_an_index(monkeypatch):
+    built = []
+    real_index = _Directory.index
+
+    def index(directory):
+        built.append(directory)
+        return real_index(directory)
+
+    monkeypatch.setattr(_Directory, "index", index)
+    for name, case in json.loads(ANSWERS.read_text()).items():
+        if case["mode"] == "dictionary":
+            continue
+        data = (GOLDEN_DIR / f"{name}.bin").read_bytes()
+        store = store_from_bytes(data)
+        assert [store.vertex_at(p) for p in case["positions"]] == case["answers"], name
+        assert built == [], name
+        tables = getattr(store, "tables", None)
+        if tables is None or store.plain is not None:
+            continue
+        assert tables._dirs and all(d._index is None for d in tables._dirs.values())
+        # encoding the walk again through the queried directories builds
+        # their indexes and still gives the pinned codes, byte for byte
+        with monkeypatch.context() as m:
+            for module in (regular, general):
+                m.setattr(module, "CodecTables", lambda graph, branching: tables)
+            rebuilt, _ = build_case(case)
+        assert rebuilt.tables is tables
+        assert file_bytes(rebuilt) == data, name
+        assert built and all(d._index is not None for d in built)
+        built.clear()
+
+
+@pytest.mark.parametrize(
+    "g, mode, strategy, ceiling",
+    [(complete(4), "regular", "blocked", 800), (fibonacci_digraph(), "general", "spill_tree", 500)],
+    ids=["k4-regular-blocked", "fib-general-spill-tree"],
+)
+def test_loaded_store_codec_bytes_per_directory(g, mode, strategy, ceiling):
+    """Heap that codec.py holds per cached directory in a freshly loaded
+    store after 2,000 seeded reads: 1,425 and 1,120 bytes in this test
+    when directories copied their segment counts and built the index at
+    once, 479 and 403 with the shared counts and the lazy index."""
+    n = 2**14
+    w = gen_walk(g, n, seed=1)
+    data = store_to_bytes(build_store(g, w, mode=mode, strategy=strategy))
+    positions = random.Random(2).choices(range(n + 1), k=2000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        store = store_from_bytes(data)
+        assert all(store.vertex_at(p) == w.verts[p] for p in positions)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, codec.__file__)])
+    per_directory = sum(t.size for t in held.traces) / len(store.tables._dirs)
+    assert per_directory <= ceiling, per_directory
 
 
 def test_encode_rejects_every_bad_step(fib):
