@@ -17,9 +17,9 @@ packing strategy:
 
 All field offsets are functions of the radix spec alone, never of the
 stored values, so readers can locate any field without scanning.  Specs
-are kept as runs of equal radices and layouts are computed from the runs,
-so a loaded array costs its payload bytes plus O(lg t) numbers for the
-specs the stores build (uniform, or uniform apart from the end radices).
+are kept and written as runs of equal radices and layouts are computed from
+the runs, so a loaded array costs its payload bytes plus O(lg t) numbers for
+the specs the stores build (uniform, or uniform apart from the end radices).
 """
 
 from __future__ import annotations
@@ -486,14 +486,23 @@ class SuccinctArray:
     _TAGS = {"packed": 0, "blocked": 1, "spill_tree": 2}
     _NAMES = {v: k for k, v in _TAGS.items()}
 
-    def to_bytes(self) -> bytes:
+    def to_bytes(self, version: int = 2) -> bytes:
+        """The spec is form 1 (one radix) when uniform, else form 2 (its runs)
+        from store format version 2 on, else form 0 (every radix)."""
         out = bytearray(SA_MAGIC)
         name, param = self.strategy
         out.append(self._TAGS[name])
         write_varint(out, self.spec.t)
-        if len(self.spec.runs) == 1:
+        runs = self.spec.runs
+        if len(runs) == 1:
             out.append(1)
-            write_varbig(out, self.spec.runs[0][0])
+            write_varbig(out, runs[0][0])
+        elif len(runs) > 1 and version >= 2:
+            out.append(2)
+            write_varint(out, len(runs))
+            for m, count in runs:
+                write_varbig(out, m)
+                write_varint(out, count)
         else:
             out.append(0)
             for m in self.spec:
@@ -523,10 +532,23 @@ class SuccinctArray:
             raise FormatError(f"unknown strategy tag {tag}")
         name = cls._NAMES[tag]
         t = cur.varint()
-        if cur.u8() == 1:
-            spec = RadixSpec.uniform_spec(cur.varbig(), t)
-        else:
+        form = cur.u8()
+        if form == 0:
             spec = RadixSpec(cur.varbig() for _ in range(t))
+        elif form == 1:
+            spec = RadixSpec.uniform_spec(cur.varbig(), t)
+        elif form == 2:
+            # a run count, then (radix, count) per run; a run takes two bytes
+            # or more, so the count is bounded by the bytes left
+            nruns = cur.varint()
+            if nruns > t or 2 * nruns > len(cur.data) - cur.pos:
+                raise FormatError(f"{nruns} radix runs for {t} positions")
+            runs = [(cur.varbig(), cur.varint()) for _ in range(nruns)]
+            if any(m < 1 or count < 1 for m, count in runs) or sum(c for _, c in runs) != t:
+                raise FormatError(f"radix runs do not cover {t} positions with radices >= 1")
+            spec = RadixSpec.from_runs(runs)
+        else:
+            raise FormatError(f"unknown radix spec form {form}")
         param = None
         root_spill = 0
         if name == "blocked":

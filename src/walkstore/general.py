@@ -387,15 +387,15 @@ class GeneralStore(WalkStore):
 
     # -- serialization ------------------------------------------------------------
 
-    def body_bytes(self) -> bytes:
-        out = self._body_head()
+    def body_bytes(self, version: int = 2) -> bytes:
+        out = self._body_head(version)
         if self.plain is not None:
             return bytes(out)
         write_varint(out, self.half_len)
         write_varint(out, self.tail_len)
         write_varbig(out, self.tail_code)
-        out.extend(self.bundles.to_bytes())
-        out.extend(self.triples.to_bytes())
+        out.extend(self.bundles.to_bytes(version))
+        out.extend(self.triples.to_bytes(version))
         return bytes(out)
 
     @classmethod
@@ -585,15 +585,15 @@ class PeriodicStore(WalkStore):
             + self.prefix.header_bits + self.suffix.header_bits + inner
         )
 
-    def body_bytes(self) -> bytes:
+    def body_bytes(self, version: int = 2) -> bytes:
         out = bytearray()
         write_varint(out, self.n)
         write_varint(out, self.period)
-        out.extend(self.prefix.to_bytes())
-        out.extend(self.suffix.to_bytes())
+        out.extend(self.prefix.to_bytes(version))
+        out.extend(self.suffix.to_bytes(version))
         out.append(1 if self.inner is not None else 0)
         if self.inner is not None:
-            out.extend(self.inner.body_bytes())
+            out.extend(self.inner.body_bytes(version))
         return bytes(out)
 
     @classmethod
@@ -691,7 +691,7 @@ class SccStore(WalkStore):
         switch_bits = 8 * sum(varint_len(s) for s in self.starts)
         return switch_bits + sum(s.header_bits for s in self.segments)
 
-    def body_bytes(self) -> bytes:
+    def body_bytes(self, version: int = 2) -> bytes:
         out = bytearray()
         write_varint(out, self.n)
         write_varint(out, len(self.segments))
@@ -699,7 +699,7 @@ class SccStore(WalkStore):
             write_varint(out, start)
             write_varint(out, scc_id)
             out.append(seg.TAG)
-            out.extend(seg.body_bytes())
+            out.extend(seg.body_bytes(version))
         return bytes(out)
 
     @classmethod

@@ -277,7 +277,8 @@ class PointwiseStore(WalkStore):
                 lo, q, size, x, total, rank = lo + a, q - a, size - a, w, s_right, rank_right
         return x
 
-    def body_bytes(self) -> bytes:
+    def body_bytes(self, version: int = 2) -> bytes:
+        """The same bytes in every store format version: no arrays."""
         if max(self.first, self.last) > 255:
             raise FormatError(f"endpoints ({self.first}, {self.last}) exceed the u8 limit 255")
         out = bytearray()

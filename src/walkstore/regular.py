@@ -160,12 +160,12 @@ class RegularStore(WalkStore):
 
     # -- serialization --------------------------------------------------------
 
-    def body_bytes(self) -> bytes:
-        out = self._body_head()
+    def body_bytes(self, version: int = 2) -> bytes:
+        out = self._body_head(version)
         if self.plain is None:
             write_varint(out, self.layout.l)
-            out.extend(self.milestones.to_bytes())
-            out.extend(self.blocks.to_bytes())
+            out.extend(self.milestones.to_bytes(version))
+            out.extend(self.blocks.to_bytes(version))
         return bytes(out)
 
     @classmethod

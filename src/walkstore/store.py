@@ -44,13 +44,13 @@ class WalkStore:
         arr = pack_vertices(g.k, w.verts)
         return cls(g, w.length, strategy=arr.strategy, branching=branching, plain=arr)
 
-    def _body_head(self) -> bytearray:
+    def _body_head(self, version: int) -> bytearray:
         """Mode byte, n and branching byte, then a plain store's array."""
         out = bytearray([0 if self.plain is not None else 1])
         write_varint(out, self.n)
         out.append(self.branching)
         if self.plain is not None:
-            out.extend(self.plain.to_bytes())
+            out.extend(self.plain.to_bytes(version))
         return out
 
     @classmethod

@@ -3,11 +3,15 @@
 Every store file embeds the canonical graph JSON plus its digest, so
 queries are self-contained; when a caller supplies a graph alongside the
 file, a digest mismatch refuses the store rather than decoding garbage.
+Version 2 writes radix specs as runs and puts the CRC-32 of the tag and
+body, 4 bytes little-endian, right after the digest.  Version 1 (no checksum,
+a non-uniform spec radix by radix) is read too, and written by ``version=1``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import zlib
 
 from . import dictionary as dict_mod
 from .errors import FormatError, UnsupportedGraphError
@@ -18,7 +22,7 @@ from .pointwise import PointwiseStore, build_pointwise
 from .regular import RegularStore, build_regular, unsuitable_reason
 from .store import WalkStore
 
-STORE_VERSION = 1
+STORE_VERSION = 2  # versions 1 and 2 are read and written
 
 # (magic, tag) -> store class; a tag of None means the magic has no tag byte.
 _STORE_CLASSES = {
@@ -32,16 +36,19 @@ def graph_digest(g: Graph) -> bytes:
     return hashlib.sha256(graph_to_json(g).encode("utf-8")).digest()
 
 
-def store_to_bytes(store) -> bytes:
+def store_to_bytes(store, version: int = STORE_VERSION) -> bytes:
     if not isinstance(store, WalkStore):
         raise FormatError(f"cannot serialize {type(store).__name__}")
+    if not 1 <= version <= STORE_VERSION:
+        raise FormatError(f"unsupported store version {version}")
     out = bytearray(store.MAGIC)
-    out.append(STORE_VERSION)
+    out.append(version)
     write_bytes(out, graph_to_json(store.graph).encode("utf-8"))
     out.extend(graph_digest(store.graph))
-    if store.TAG is not None:
-        out.append(store.TAG)
-    out.extend(store.body_bytes())
+    body = bytes([] if store.TAG is None else [store.TAG]) + store.body_bytes(version)
+    if version >= 2:
+        out.extend(zlib.crc32(body).to_bytes(4, "little"))
+    out.extend(body)
     return bytes(out)
 
 
@@ -51,16 +58,23 @@ def store_from_bytes(data: bytes, graph: Graph | None = None):
     if magic not in _MAGICS:
         raise FormatError(f"unknown store magic {magic!r}")
     version = cur.u8()
-    if version != STORE_VERSION:
+    if not 1 <= version <= STORE_VERSION:
         raise FormatError(f"unsupported store version {version}")
-    embedded = graph_from_json(decode_text(cur.blob(), "embedded graph JSON"))
+    raw = cur.blob()
+    text = decode_text(raw, "embedded graph JSON")
     digest = cur.take(32)
-    if digest != graph_digest(embedded):
+    # the JSON is canonical: an edit to it fails here, before it is parsed
+    if hashlib.sha256(raw).digest() != digest:
         raise FormatError("embedded graph fails its digest check")
+    embedded = graph_from_json(text)
     if graph is not None and graph_digest(graph) != digest:
         raise UnsupportedGraphError(
             "store was built for a different graph (digest mismatch)"
         )
+    if version >= 2:
+        checksum = int.from_bytes(cur.take(4), "little")
+        if zlib.crc32(memoryview(data)[cur.pos:]) != checksum:
+            raise FormatError("store body fails its checksum")
     tag = None if (magic, None) in _STORE_CLASSES else cur.u8()
     if (magic, tag) not in _STORE_CLASSES:
         raise FormatError(f"unknown tag {tag} for store magic {magic!r}")

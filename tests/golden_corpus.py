@@ -3,10 +3,12 @@
 Each case is a recipe (graph, walk length, seed, mode, strategy and an
 optional codec branching, 2 when absent) that rebuilds its store from
 scratch, plus the positions whose answers the corpus records.
-``tests/golden/`` holds the files this module wrote and ``answers.json``
-the recipes and the expected answers; test_golden.py checks that every
-file loads, answers, re-serialises byte for byte and is rebuilt byte for
-byte.
+``tests/golden/`` holds the files this module wrote in store format
+version 1 and ``answers.json`` the recipes and the expected answers;
+test_golden.py checks that every file loads, answers, re-serialises byte
+for byte and is rebuilt byte for byte.  ``tests/golden/v2/`` holds the
+same walk stores in version 2 (test_golden_v2.py); the dictionary has its
+own container and no version, so it has no v2 file.
 
 Regenerate (only when a format change is intended):
 
@@ -32,6 +34,7 @@ from walkstore.graph import complete, directed_cycle, fibonacci_digraph
 from walkstore.storefile import store_to_bytes
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+V2_DIR = GOLDEN_DIR / "v2"
 ANSWERS = GOLDEN_DIR / "answers.json"
 SAMPLES = 48
 
@@ -94,10 +97,10 @@ def build_case(case: dict):
     return store, list(walk.verts)
 
 
-def file_bytes(store) -> bytes:
+def file_bytes(store, version: int = 1) -> bytes:
     if hasattr(store, "store"):  # a SuccinctDictionary writes its own container
         return store.to_bytes()
-    return store_to_bytes(store)
+    return store_to_bytes(store, version=version)
 
 
 def sample_positions(count: int, seed: int) -> list:
@@ -110,11 +113,13 @@ def sample_positions(count: int, seed: int) -> list:
 
 
 def main() -> int:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    V2_DIR.mkdir(parents=True, exist_ok=True)
     record = {}
     for name, case in CASES.items():
         store, ref = build_case(case)
         (GOLDEN_DIR / f"{name}.bin").write_bytes(file_bytes(store))
+        if case["mode"] != "dictionary":
+            (V2_DIR / f"{name}.bin").write_bytes(file_bytes(store, version=2))
         positions = sample_positions(len(ref), case["seed"])
         record[name] = dict(case, positions=positions, answers=[ref[p] for p in positions])
     ANSWERS.write_text(json.dumps(record, indent=1) + "\n")

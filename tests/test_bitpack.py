@@ -414,3 +414,78 @@ def test_huge_declared_length_is_rejected_quickly(strategy, nbits):
     with pytest.raises(FormatError):
         SuccinctArray.from_bytes(bytes(out))
     assert time.perf_counter() - start < 1
+
+
+def _form_offset(data: bytes) -> int:
+    """Position of the spec-form byte: after the magic, tag and varint t."""
+    pos = len(SA_MAGIC) + 1
+    while data[pos] & 0x80:
+        pos += 1
+    return pos + 1
+
+
+@pytest.mark.parametrize("strategy", ["packed", ("blocked", 5), "spill_tree"])
+def test_spec_forms_by_version(strategy):
+    """A spec of several runs is written radix by radix (form 0) in version 1
+    and as its runs (form 2) in version 2; a uniform spec is form 1 in both."""
+    spec = RadixSpec.from_runs([(7, 1), (1000, 4000), (3, 1)])
+    values = [i % m for i, m in enumerate(spec)]
+    arr = SuccinctArray.build(spec, values, strategy)
+    v1, v2 = arr.to_bytes(version=1), arr.to_bytes()
+    assert v1[_form_offset(v1)] == 0 and v2[_form_offset(v2)] == 2
+    assert len(v1) - len(v2) > 2 * 4000
+    for data in (v1, v2):
+        back = SuccinctArray.from_bytes(data)
+        assert back.spec == spec and back.values() == values
+    uniform = SuccinctArray.build(RadixSpec.uniform_spec(5, 300), [1] * 300, strategy)
+    assert uniform.to_bytes(version=1) == uniform.to_bytes()
+    assert uniform.to_bytes()[_form_offset(uniform.to_bytes())] == 1
+
+
+def _crafted_runs(t: int, nruns: int, runs) -> bytes:
+    out = bytearray(SA_MAGIC)
+    out.append(SuccinctArray._TAGS["packed"])
+    write_varint(out, t)
+    out.append(2)
+    write_varint(out, nruns)
+    for m, count in runs:
+        write_varbig(out, m)
+        write_varint(out, count)
+    write_varint(out, 8)
+    out.extend(bytes(8))
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_crafted_runs(2**40, 2**40, [(3, 2**39), (5, 2**39)]), "radix runs for"),
+        (_crafted_runs(10, 2, [(3, 6), (5, 6)]), "do not cover"),
+        (_crafted_runs(10, 3, [(3, 10), (5, 0), (3, 0)]), "do not cover"),
+        (_crafted_runs(10, 2, [(0, 5), (5, 5)]), "do not cover"),
+        (_crafted_runs(10, 11, [(3, 1)] * 11), "radix runs for"),
+        (_crafted_runs(10, 2, [(3, 4), (5, 4)]), "do not cover"),
+        (_crafted_runs(4, 2, [(3, 2)]), "truncated"),
+    ],
+    ids=["run-count-2^40", "counts-past-t", "zero-count", "zero-radix",
+         "more-runs-than-t", "counts-short-of-t", "runs-missing"],
+)
+def test_crafted_run_specs_are_rejected_quickly(data, message):
+    """Each is refused before a run is read when the run count exceeds t or
+    half the bytes left, else once the runs are read."""
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match=message):
+        SuccinctArray.from_bytes(data)
+    assert time.perf_counter() - start < 1
+
+
+def test_unknown_spec_form_is_rejected():
+    data = bytearray(SuccinctArray.build(RadixSpec.uniform_spec(3, 4), [0, 1, 2, 0]).to_bytes())
+    pos = _form_offset(bytes(data))
+    assert data[pos] == 1
+    for form in (3, 7, 255):
+        data[pos] = form
+        start = time.perf_counter()
+        with pytest.raises(FormatError, match="form"):
+            SuccinctArray.from_bytes(bytes(data))
+        assert time.perf_counter() - start < 1
